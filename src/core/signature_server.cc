@@ -5,9 +5,29 @@ namespace leakdet::core {
 SignatureServer::SignatureServer(const PayloadCheck* oracle, Options options)
     : oracle_(oracle), options_(options) {}
 
+void SignatureServer::DropEvicted(std::vector<HttpPacket>* pool,
+                                  size_t* evicted) {
+  if (*evicted == 0) return;
+  pool->erase(pool->begin(),
+              pool->begin() + static_cast<std::ptrdiff_t>(*evicted));
+  *evicted = 0;
+}
+
+void SignatureServer::PushCapped(const HttpPacket& packet, size_t cap,
+                                 std::vector<HttpPacket>* pool,
+                                 size_t* evicted) {
+  pool->push_back(packet);
+  if (pool->size() - *evicted > cap) *evicted = pool->size() - cap;
+  // One erase per `cap` evictions keeps eviction O(1) amortized per packet
+  // and the vector under twice the cap.
+  if (*evicted >= cap) DropEvicted(pool, evicted);
+}
+
 void SignatureServer::Restore(State state) {
   suspicious_ = std::move(state.suspicious);
   normal_ = std::move(state.normal);
+  suspicious_evicted_ = 0;
+  normal_evicted_ = 0;
   new_suspicious_ = state.new_suspicious;
   signatures_ = std::move(state.signatures);
   last_distance_stats_ = DistanceMatrixStats{};
@@ -19,31 +39,20 @@ void SignatureServer::Restore(State state) {
 
 bool SignatureServer::Ingest(const HttpPacket& packet) {
   if (oracle_->IsSensitive(packet)) {
-    suspicious_.push_back(packet);
-    if (suspicious_.size() > options_.max_suspicious_pool) {
-      suspicious_.erase(suspicious_.begin(),
-                        suspicious_.begin() +
-                            static_cast<long>(suspicious_.size() -
-                                              options_.max_suspicious_pool));
-    }
+    PushCapped(packet, options_.max_suspicious_pool, &suspicious_,
+               &suspicious_evicted_);
     ++new_suspicious_;
     if (new_suspicious_ >= options_.retrain_after) {
       return Retrain();
     }
   } else {
-    normal_.push_back(packet);
-    if (normal_.size() > options_.max_normal_pool) {
-      normal_.erase(normal_.begin(),
-                    normal_.begin() + static_cast<long>(
-                                          normal_.size() -
-                                          options_.max_normal_pool));
-    }
+    PushCapped(packet, options_.max_normal_pool, &normal_, &normal_evicted_);
   }
   return false;
 }
 
 bool SignatureServer::Retrain() {
-  if (suspicious_.empty()) return false;
+  if (suspicious_pool_size() == 0) return false;
   PipelineOptions options = options_.pipeline;
   // Vary the sampling stream per feed version so successive retrains see
   // fresh samples (still deterministic overall). The pipeline derives the
@@ -53,8 +62,8 @@ bool SignatureServer::Retrain() {
   options.feed_version = version;
   StatusOr<PipelineResult> result =
       training_backend_ != nullptr
-          ? training_backend_(suspicious_, normal_, options)
-          : RunPipeline(suspicious_, normal_, options);
+          ? training_backend_(suspicious_pool(), normal_pool(), options)
+          : RunPipeline(suspicious_pool(), normal_pool(), options);
   if (!result.ok()) return false;
   if (feed_transform_) {
     signatures_ = feed_transform_(version + 1, std::move(result->signatures));

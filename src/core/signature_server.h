@@ -32,7 +32,10 @@ class SignatureServer {
     /// Retrain after this many new suspicious packets since the last build.
     size_t retrain_after = 200;
     /// Cap on the retained suspicious pool (FIFO eviction); bounds memory
-    /// and keeps the sample focused on recent traffic.
+    /// and keeps the sample focused on recent traffic. Eviction is
+    /// amortized: evicted packets linger as a dead prefix of the pool vector
+    /// until the pool is next read or the prefix reaches the cap, so the
+    /// vector holds at most twice the cap.
     size_t max_suspicious_pool = 50000;
     /// Cap on the retained normal pool (screening corpus source).
     size_t max_normal_pool = 20000;
@@ -126,12 +129,23 @@ class SignatureServer {
   /// Serialized feed for distribution to devices.
   std::string Feed() const { return signatures_.Serialize(); }
 
-  size_t suspicious_pool_size() const { return suspicious_.size(); }
-  size_t normal_pool_size() const { return normal_.size(); }
+  /// Live (not yet evicted) packets per pool.
+  size_t suspicious_pool_size() const {
+    return suspicious_.size() - suspicious_evicted_;
+  }
+  size_t normal_pool_size() const { return normal_.size() - normal_evicted_; }
 
-  /// Direct pool access for persistence snapshots. Training thread only.
-  const std::vector<HttpPacket>& suspicious_pool() const { return suspicious_; }
-  const std::vector<HttpPacket>& normal_pool() const { return normal_; }
+  /// Direct pool access for persistence snapshots: the live packets, oldest
+  /// first. Drops the pending evicted prefix first, so the reference stays
+  /// valid until the next Ingest()/Restore(). Training thread only.
+  const std::vector<HttpPacket>& suspicious_pool() const {
+    DropEvicted(&suspicious_, &suspicious_evicted_);
+    return suspicious_;
+  }
+  const std::vector<HttpPacket>& normal_pool() const {
+    DropEvicted(&normal_, &normal_evicted_);
+    return normal_;
+  }
   size_t new_suspicious() const { return new_suspicious_; }
   const Options& options() const { return options_; }
 
@@ -143,10 +157,20 @@ class SignatureServer {
   }
 
  private:
+  /// Erases the first `*evicted` packets of `pool`.
+  static void DropEvicted(std::vector<HttpPacket>* pool, size_t* evicted);
+  /// Appends `packet` to a FIFO pool of at most `cap` live packets.
+  static void PushCapped(const HttpPacket& packet, size_t cap,
+                         std::vector<HttpPacket>* pool, size_t* evicted);
+
   const PayloadCheck* oracle_;
   Options options_;
-  std::vector<HttpPacket> suspicious_;
-  std::vector<HttpPacket> normal_;
+  // Each pool is its vector minus a prefix of evicted packets; the pool
+  // accessors drop that prefix (logically const, hence mutable).
+  mutable std::vector<HttpPacket> suspicious_;
+  mutable std::vector<HttpPacket> normal_;
+  mutable size_t suspicious_evicted_ = 0;
+  mutable size_t normal_evicted_ = 0;
   size_t new_suspicious_ = 0;
   std::atomic<uint64_t> feed_version_{0};
   match::SignatureSet signatures_;

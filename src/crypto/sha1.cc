@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "util/strutil.h"
 
@@ -12,7 +13,65 @@ namespace {
 constexpr uint32_t kInit[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
                                0x10325476u, 0xC3D2E1F0u};
 
-uint32_t Rotl32(uint32_t x, int c) { return (x << c) | (x >> (32 - c)); }
+inline uint32_t Rotl32(uint32_t x, int c) {
+  return (x << c) | (x >> (32 - c));
+}
+
+inline uint32_t LoadBigEndian32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+}
+
+/// Round `I` of the 80: the round function and constant of its 20-round
+/// stage, chosen at compile time so the unrolled block has no branches.
+template <int I>
+inline uint32_t RoundMix(uint32_t b, uint32_t c, uint32_t d) {
+  if constexpr (I < 20) {
+    return (d ^ (b & (c ^ d))) + 0x5A827999u;  // Ch
+  } else if constexpr (I < 40) {
+    return (b ^ c ^ d) + 0x6ED9EBA1u;  // Parity
+  } else if constexpr (I < 60) {
+    return ((b & c) | (d & (b | c))) + 0x8F1BBCDCu;  // Maj
+  } else {
+    return (b ^ c ^ d) + 0xCA62C1D6u;  // Parity
+  }
+}
+
+/// One round on a rolling 16-word message schedule: rounds 16..79 derive
+/// w[I] in place from the four words 3, 8, 14 and 16 rounds back. Instead of
+/// shifting a..e every round, the caller rotates which variable plays which
+/// role, so the round only writes `e` (the new `a`) and `b`.
+template <int I>
+inline void Round(uint32_t a, uint32_t& b, uint32_t c, uint32_t d,
+                  uint32_t& e, uint32_t* w) {
+  if constexpr (I >= 16) {
+    w[I & 15] = Rotl32(w[(I + 13) & 15] ^ w[(I + 8) & 15] ^
+                           w[(I + 2) & 15] ^ w[I & 15],
+                       1);
+  }
+  e += Rotl32(a, 5) + RoundMix<I>(b, c, d) + w[I & 15];
+  b = Rotl32(b, 30);
+}
+
+/// Five rounds from round `I`: after five role rotations every variable is
+/// back in its own role.
+template <int I>
+inline void FiveRounds(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d,
+                       uint32_t& e, uint32_t* w) {
+  Round<I>(a, b, c, d, e, w);
+  Round<I + 1>(e, a, b, c, d, w);
+  Round<I + 2>(d, e, a, b, c, w);
+  Round<I + 3>(c, d, e, a, b, w);
+  Round<I + 4>(b, c, d, e, a, w);
+}
+
+template <int... Group>
+inline void AllRounds(uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d,
+                      uint32_t& e, uint32_t* w,
+                      std::integer_sequence<int, Group...>) {
+  (FiveRounds<5 * Group>(a, b, c, d, e, w), ...);
+}
 
 }  // namespace
 
@@ -51,40 +110,11 @@ void Sha1::Update(std::string_view data) {
 }
 
 void Sha1::ProcessBlock(const uint8_t* block) {
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl32(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
+  uint32_t w[16];
+  for (int i = 0; i < 16; ++i) w[i] = LoadBigEndian32(block + 4 * i);
   uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
            e = state_[4];
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    uint32_t tmp = Rotl32(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = Rotl32(b, 30);
-    b = a;
-    a = tmp;
-  }
+  AllRounds(a, b, c, d, e, w, std::make_integer_sequence<int, 16>());
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;

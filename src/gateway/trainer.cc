@@ -77,7 +77,7 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
         compile_ns_->Observe(ElapsedNs(clock_, compile_start));
         {
           std::lock_guard<std::mutex> lock(archive_mu_);
-          archive_[version] = compiled;
+          archive_[version] = ArchivedEpoch{set, compiled};
         }
         if (options_.tenant.empty()) {
           gateway_->Publish(std::move(compiled));
@@ -119,9 +119,23 @@ DetectionGateway::PacketSink TrainerLoop::Sink() {
 
 std::shared_ptr<const match::CompiledSignatureSet> TrainerLoop::SetForVersion(
     uint64_t version) const {
+  match::SignatureSet set;
+  {
+    std::lock_guard<std::mutex> lock(archive_mu_);
+    auto it = archive_.find(version);
+    if (it == archive_.end()) return nullptr;
+    if (auto live = it->second.compiled.lock()) return live;
+    set = it->second.set;
+  }
+  auto rebuilt =
+      std::make_shared<const match::CompiledSignatureSet>(std::move(set),
+                                                          version);
   std::lock_guard<std::mutex> lock(archive_mu_);
-  auto it = archive_.find(version);
-  return it == archive_.end() ? nullptr : it->second;
+  // Another caller may have rebuilt it meanwhile; hand out one object.
+  ArchivedEpoch& epoch = archive_.at(version);
+  if (auto live = epoch.compiled.lock()) return live;
+  epoch.compiled = rebuilt;
+  return rebuilt;
 }
 
 bool TrainerLoop::Offer(const core::HttpPacket& packet,
@@ -146,7 +160,8 @@ void TrainerLoop::Run() {
   while (mailbox_.Pop(&item)) {
     // Durability before ingestion: a record the server has acted on must
     // already be in the log, or a crash could retrain on traffic recovery
-    // cannot reproduce.
+    // cannot reproduce. A record the log refused is therefore skipped.
+    bool logged = true;
     if (options_.store != nullptr) {
       store::FeedRecord record;
       record.feed_version = item.verdict.feed_version;
@@ -154,51 +169,15 @@ void TrainerLoop::Run() {
       record.shard = item.verdict.shard;
       record.num_matches = item.verdict.num_matches;
       record.packet = item.packet;
-      if (options_.store->Append(std::move(record)).ok()) {
+      logged = options_.store->Append(std::move(record)).ok();
+      if (logged) {
         wal_appends_->Inc();
         ++appends_unflushed;
       } else {
         wal_errors_->Inc();
       }
     }
-    uint64_t version_before = server_->feed_version();
-    auto ingest_start = clock_->Now();
-    server_->Ingest(item.packet);
-    ingested_->Inc();
-    if (server_->feed_version() != version_before) {
-      // The whole Ingest was dominated by the retrain it triggered (the
-      // observer has already compiled + published the new epoch).
-      retrain_ns_->Observe(ElapsedNs(clock_, ingest_start));
-      retrains_->Inc();
-      // Accumulate the distance-matrix cache effectiveness of that retrain
-      // so operators can see how well the shared NCD pair cache is working.
-      const core::DistanceMatrixStats& stats = server_->last_distance_stats();
-      ncd_pair_hits_->Inc(stats.ncd_pair_hits);
-      ncd_pairs_computed_->Inc(stats.ncd_pairs_computed);
-      singleton_compressions_->Inc(stats.singleton_compressions);
-      // Stage breakdown of the retrain that just ran, stamped by the
-      // pipeline into the stats it returned.
-      stage_distance_ns_->Observe(stats.distance_build_ns);
-      stage_cluster_ns_->Observe(stats.cluster_ns);
-      stage_siggen_ns_->Observe(stats.siggen_ns);
-      if (options_.incremental != nullptr) ExportEpochStats();
-      // Persist the epoch that just published, then retire whatever the
-      // snapshot made redundant.
-      if (options_.store != nullptr) {
-        if (options_.store->WriteSnapshot(*server_).ok()) {
-          snapshots_->Inc();
-          options_.store->Compact();
-          // Only a *successful* snapshot has synced the log (WriteSnapshot
-          // fsyncs the WAL before writing the snapshot file). On failure the
-          // staged records may still be volatile, so the counter must stay
-          // nonzero or the drain-time group commit below would skip them and
-          // /replog / failover could miss acted-on records.
-          appends_unflushed = 0;
-        } else {
-          snapshot_errors_->Inc();
-        }
-      }
-    }
+    if (logged) Train(item.packet, &appends_unflushed);
     // Group commit follows the mailbox: when the backlog drains, flush the
     // staged WAL batch so replication (/replog serves only flushed bytes)
     // and failover see every record the trainer has acted on, without a
@@ -208,6 +187,46 @@ void TrainerLoop::Run() {
       if (options_.store->Sync().ok()) appends_unflushed = 0;
     }
     items_processed_.fetch_add(1, std::memory_order_release);
+  }
+}
+
+void TrainerLoop::Train(const core::HttpPacket& packet,
+                        uint64_t* appends_unflushed) {
+  uint64_t version_before = server_->feed_version();
+  auto ingest_start = clock_->Now();
+  server_->Ingest(packet);
+  ingested_->Inc();
+  if (server_->feed_version() == version_before) return;
+  // The whole Ingest was dominated by the retrain it triggered (the
+  // observer has already compiled + published the new epoch).
+  retrain_ns_->Observe(ElapsedNs(clock_, ingest_start));
+  retrains_->Inc();
+  // Accumulate the distance-matrix cache effectiveness of that retrain
+  // so operators can see how well the shared NCD pair cache is working.
+  const core::DistanceMatrixStats& stats = server_->last_distance_stats();
+  ncd_pair_hits_->Inc(stats.ncd_pair_hits);
+  ncd_pairs_computed_->Inc(stats.ncd_pairs_computed);
+  singleton_compressions_->Inc(stats.singleton_compressions);
+  // Stage breakdown of the retrain that just ran, stamped by the
+  // pipeline into the stats it returned.
+  stage_distance_ns_->Observe(stats.distance_build_ns);
+  stage_cluster_ns_->Observe(stats.cluster_ns);
+  stage_siggen_ns_->Observe(stats.siggen_ns);
+  if (options_.incremental != nullptr) ExportEpochStats();
+  // Persist the epoch that just published, then retire whatever the
+  // snapshot made redundant.
+  if (options_.store == nullptr) return;
+  if (options_.store->WriteSnapshot(*server_).ok()) {
+    snapshots_->Inc();
+    options_.store->Compact();
+    // Only a *successful* snapshot has synced the log (WriteSnapshot
+    // fsyncs the WAL before writing the snapshot file). On failure the
+    // staged records may still be volatile, so the counter must stay
+    // nonzero or the drain-time group commit would skip them and
+    // /replog / failover could miss acted-on records.
+    *appends_unflushed = 0;
+  } else {
+    snapshot_errors_->Inc();
   }
 }
 

@@ -63,7 +63,10 @@ struct TrainerOptions {
 ///
 /// Every published epoch is archived by version, so replay tooling (the
 /// loadgen's --verify pass) can rebuild the exact matcher any verdict was
-/// produced under.
+/// produced under. The archive keeps each epoch's SignatureSet (KBs), not
+/// its compiled matcher (MBs): a compiled epoch lives only as long as
+/// someone (the gateway, a shard, a verifier) holds it, and SetForVersion
+/// recompiles a released one on demand.
 class TrainerLoop {
  public:
   /// `server` and `gateway` must outlive the trainer. Not owned. The trainer
@@ -89,7 +92,10 @@ class TrainerLoop {
   /// if the packet was filtered (normal-traffic sampling) or shed.
   bool Offer(const core::HttpPacket& packet, const Verdict& verdict);
 
-  /// The archived compiled epoch for `version` (null if never published).
+  /// The compiled epoch for `version` (null if never published): the live
+  /// object while anyone still holds it, else a fresh compile of the
+  /// archived set, identical to the one first published. Thread-safe; a
+  /// recompile runs outside the archive lock.
   std::shared_ptr<const match::CompiledSignatureSet> SetForVersion(
       uint64_t version) const;
 
@@ -119,6 +125,10 @@ class TrainerLoop {
 
   void Run();
 
+  /// Ingests one logged packet and, if that published an epoch, records the
+  /// retrain and persists the epoch. Training thread.
+  void Train(const core::HttpPacket& packet, uint64_t* appends_unflushed);
+
   /// Folds the incremental backend's last-epoch stats into the trainer.*
   /// metric families. Training thread, right after a retrain.
   void ExportEpochStats();
@@ -135,9 +145,14 @@ class TrainerLoop {
   std::atomic<uint64_t> feeds_published_{0};
   std::atomic<uint64_t> items_processed_{0};
 
+  /// One published epoch: its signature set, and its compiled matcher for
+  /// as long as anyone else holds it.
+  struct ArchivedEpoch {
+    match::SignatureSet set;
+    std::weak_ptr<const match::CompiledSignatureSet> compiled;
+  };
   mutable std::mutex archive_mu_;
-  std::map<uint64_t, std::shared_ptr<const match::CompiledSignatureSet>>
-      archive_;
+  mutable std::map<uint64_t, ArchivedEpoch> archive_;
 
   Counter* ingested_ = nullptr;
   Counter* drops_ = nullptr;

@@ -104,7 +104,7 @@ Target SplitTarget(std::string_view target) {
     t.path = std::string(target.substr(0, q));
     t.raw_query = std::string(target.substr(q + 1));
   }
-  if (t.path.empty()) t.path = "/";
+  if (t.path.empty()) t.path.push_back('/');
   return t;
 }
 

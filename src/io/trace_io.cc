@@ -20,9 +20,24 @@ namespace {
 // and integer-array values).
 // ---------------------------------------------------------------------------
 
+bool NeedsJsonEscape(unsigned char c) {
+  return c < 0x20 || c >= 0x7F || c == '"' || c == '\\';
+}
+
 void AppendJsonString(std::string_view s, std::string* out) {
   *out += '"';
-  for (unsigned char c : s) {
+  size_t i = 0;
+  while (i < s.size()) {
+    // Copy the run of bytes that need no escape in one append.
+    size_t run = i;
+    while (run < s.size() &&
+           !NeedsJsonEscape(static_cast<unsigned char>(s[run]))) {
+      ++run;
+    }
+    out->append(s.data() + i, run - i);
+    if (run == s.size()) break;
+    i = run + 1;
+    const unsigned char c = static_cast<unsigned char>(s[run]);
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -39,14 +54,11 @@ void AppendJsonString(std::string_view s, std::string* out) {
       case '\t':
         *out += "\\t";
         break;
-      default:
-        if (c < 0x20 || c >= 0x7F) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
   *out += '"';
@@ -278,12 +290,14 @@ constexpr std::string_view kCsvHeader =
 /// The shared packet fields of a JSON object, without the closing brace so
 /// callers can extend the object (the JSONL writer adds the truth array).
 void AppendPacketJsonFields(const core::HttpPacket& packet, std::string* out) {
-  *out += "{\"app\":" + std::to_string(packet.app_id);
+  *out += "{\"app\":";
+  *out += std::to_string(packet.app_id);
   *out += ",\"host\":";
   AppendJsonString(packet.destination.host, out);
   *out += ",\"ip\":";
   AppendJsonString(packet.destination.ip.ToString(), out);
-  *out += ",\"port\":" + std::to_string(packet.destination.port);
+  *out += ",\"port\":";
+  *out += std::to_string(packet.destination.port);
   *out += ",\"rline\":";
   AppendJsonString(packet.request_line, out);
   *out += ",\"cookie\":";
@@ -306,6 +320,11 @@ std::string SerializeJsonl(const std::vector<sim::LabeledPacket>& packets) {
     out += "]}\n";
   }
   return out;
+}
+
+void AppendPacketJsonl(const core::HttpPacket& packet, std::string* out) {
+  AppendPacketJsonFields(packet, out);
+  *out += ",\"truth\":[]}\n";
 }
 
 void AppendPacketJson(const core::HttpPacket& packet, std::string* out) {

@@ -16,6 +16,11 @@ namespace leakdet::io {
 /// escaped).
 std::string SerializeJsonl(const std::vector<sim::LabeledPacket>& packets);
 
+/// The SerializeJsonl line of one unlabeled packet (empty truth list,
+/// trailing newline included) appended to `*out` — snapshots encode their
+/// pools line by line with it, straight from the server's vectors.
+void AppendPacketJsonl(const core::HttpPacket& packet, std::string* out);
+
 /// Parses the SerializeJsonl format. Fails with Corruption on any malformed
 /// line; blank lines are skipped.
 StatusOr<std::vector<sim::LabeledPacket>> ParseJsonl(std::string_view text);

@@ -13,7 +13,7 @@ std::string PermissionSet::ToString() const {
   if (Has(kReadPhoneState)) append("P");
   if (Has(kReadContacts)) append("C");
   if (Has(kOther)) append("O");
-  if (out.empty()) out = "-";
+  if (out.empty()) out.push_back('-');
   return out;
 }
 

@@ -12,11 +12,67 @@ namespace leakdet::store {
 namespace {
 
 constexpr std::string_view kMagic = "leakdet-snapshot v1";
+constexpr std::string_view kSeparator = "---\n";
 
-std::string PoolJsonl(const std::vector<core::HttpPacket>& packets) {
-  std::vector<sim::LabeledPacket> labeled(packets.size());
-  for (size_t i = 0; i < packets.size(); ++i) labeled[i].packet = packets[i];
-  return io::SerializeJsonl(labeled);
+/// Room for `packets` as JSONL: the field bytes plus a quarter for escapes,
+/// and the keys and numbers of each line. Reserving a little too much costs
+/// only address space; too little would double the body buffer.
+size_t PoolJsonlCapacity(const std::vector<core::HttpPacket>& packets) {
+  constexpr size_t kLineOverhead = 112;
+  size_t bytes = 0;
+  for (const core::HttpPacket& p : packets) {
+    bytes += p.destination.host.size() + p.request_line.size() +
+             p.cookie.size() + p.body.size();
+  }
+  return bytes + bytes / 4 + packets.size() * kLineOverhead;
+}
+
+/// A serialized snapshot in two parts; the file is `head` then `body`.
+struct EncodedSnapshot {
+  std::string head;  ///< every header line, digest and separator included
+  std::string body;  ///< signature set, suspicious JSONL, normal JSONL
+};
+
+EncodedSnapshot Encode(const SnapshotView& snapshot) {
+  EncodedSnapshot out;
+  std::string& body = out.body;
+  body.reserve(snapshot.signatures.size() +
+               PoolJsonlCapacity(*snapshot.suspicious) +
+               PoolJsonlCapacity(*snapshot.normal));
+  body += snapshot.signatures;
+  for (const core::HttpPacket& packet : *snapshot.suspicious) {
+    io::AppendPacketJsonl(packet, &body);
+  }
+  const size_t sus_bytes = body.size() - snapshot.signatures.size();
+  for (const core::HttpPacket& packet : *snapshot.normal) {
+    io::AppendPacketJsonl(packet, &body);
+  }
+  const size_t norm_bytes =
+      body.size() - snapshot.signatures.size() - sus_bytes;
+
+  std::string& head = out.head;
+  head += kMagic;
+  head += "\nfeed_version " + std::to_string(snapshot.feed_version);
+  head += "\nlast_sequence " + std::to_string(snapshot.last_sequence);
+  head += "\nnew_suspicious " + std::to_string(snapshot.new_suspicious);
+  head += "\nparams ";
+  head += snapshot.params;
+  head += "\nsections " + std::to_string(snapshot.signatures.size()) + " " +
+          std::to_string(sus_bytes) + " " + std::to_string(norm_bytes) + "\n";
+
+  // The digest covers everything but its own line, so a flipped byte
+  // anywhere — header, separator, or body — is caught.
+  crypto::Sha1 sha;
+  sha.Update(head);
+  sha.Update(kSeparator);
+  sha.Update(body);
+  auto digest = sha.Finish();
+  head += "digest ";
+  head += HexEncode(std::string_view(
+      reinterpret_cast<const char*>(digest.data()), digest.size()));
+  head += '\n';
+  head += kSeparator;
+  return out;
 }
 
 StatusOr<std::vector<core::HttpPacket>> ParsePool(std::string_view jsonl) {
@@ -51,29 +107,18 @@ StatusOr<uint64_t> HeaderUint(std::string_view line, std::string_view key) {
 
 }  // namespace
 
+SnapshotView::SnapshotView(const SnapshotContents& snapshot)
+    : feed_version(snapshot.feed_version),
+      last_sequence(snapshot.last_sequence),
+      new_suspicious(snapshot.new_suspicious),
+      params(snapshot.params),
+      signatures(snapshot.signatures),
+      suspicious(&snapshot.suspicious),
+      normal(&snapshot.normal) {}
+
 std::string SerializeSnapshot(const SnapshotContents& snapshot) {
-  const std::string sus = PoolJsonl(snapshot.suspicious);
-  const std::string norm = PoolJsonl(snapshot.normal);
-  std::string head = std::string(kMagic) + "\n";
-  head += "feed_version " + std::to_string(snapshot.feed_version) + "\n";
-  head += "last_sequence " + std::to_string(snapshot.last_sequence) + "\n";
-  head += "new_suspicious " + std::to_string(snapshot.new_suspicious) + "\n";
-  head += "params " + snapshot.params + "\n";
-  head += "sections " + std::to_string(snapshot.signatures.size()) + " " +
-          std::to_string(sus.size()) + " " + std::to_string(norm.size()) + "\n";
-
-  std::string tail = "---\n" + snapshot.signatures + sus + norm;
-
-  // The digest covers everything but its own line, so a flipped byte
-  // anywhere — header, separator, or body — is caught.
-  crypto::Sha1 sha;
-  sha.Update(head);
-  sha.Update(tail);
-  auto digest = sha.Finish();
-  std::string hex = HexEncode(std::string_view(
-      reinterpret_cast<const char*>(digest.data()), digest.size()));
-
-  return head + "digest " + hex + "\n" + tail;
+  EncodedSnapshot encoded = Encode(snapshot);
+  return encoded.head + encoded.body;
 }
 
 StatusOr<SnapshotContents> ParseSnapshot(std::string_view text) {
@@ -171,7 +216,7 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* feed_version,
 }
 
 Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
-                         const SnapshotContents& snapshot) {
+                         const SnapshotView& snapshot) {
   const std::string name =
       SnapshotFileName(snapshot.feed_version, snapshot.last_sequence);
   const std::string tmp = dirpath + "/." + name + ".tmp";
@@ -179,7 +224,9 @@ Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
 
   if (dir->Exists(tmp)) LEAKDET_RETURN_IF_ERROR(dir->Remove(tmp));
   LEAKDET_ASSIGN_OR_RETURN(std::unique_ptr<File> file, dir->OpenAppend(tmp));
-  Status status = file->Append(SerializeSnapshot(snapshot));
+  const EncodedSnapshot encoded = Encode(snapshot);
+  Status status = file->Append(encoded.head);
+  if (status.ok()) status = file->Append(encoded.body);
   if (status.ok()) status = file->Sync();
   Status close_status = file->Close();
   if (status.ok()) status = close_status;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/packet.h"
@@ -33,6 +34,23 @@ struct SnapshotContents {
   std::vector<core::HttpPacket> normal;
 };
 
+/// The fields of a snapshot, borrowed instead of owned: StoreManager points
+/// the pools at the live server's vectors, so a snapshot is serialized
+/// without copying them. Both pool pointers must be set. Converts from
+/// SnapshotContents the way std::string_view converts from std::string.
+struct SnapshotView {
+  SnapshotView() = default;
+  SnapshotView(const SnapshotContents& snapshot);  // NOLINT(runtime/explicit)
+
+  uint64_t feed_version = 0;
+  uint64_t last_sequence = 0;
+  uint64_t new_suspicious = 0;
+  std::string_view params;
+  std::string_view signatures;
+  const std::vector<core::HttpPacket>* suspicious = nullptr;
+  const std::vector<core::HttpPacket>* normal = nullptr;
+};
+
 /// Text header + digest-protected body:
 ///
 ///   leakdet-snapshot v1
@@ -56,9 +74,11 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* feed_version,
 
 /// Writes `snapshot` crash-atomically into `dirpath`: temp file in the same
 /// directory, fsync, rename to its final name, directory fsync. A crash at
-/// any point leaves the previous snapshots intact.
+/// any point leaves the previous snapshots intact. The file holds exactly
+/// SerializeSnapshot(snapshot), written as header then body, so the body is
+/// never copied.
 Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
-                         const SnapshotContents& snapshot);
+                         const SnapshotView& snapshot);
 
 /// Loads the newest snapshot that parses and digest-verifies, skipping
 /// damaged ones (recovery must fall back, not fail, when the latest write

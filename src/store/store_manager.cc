@@ -223,14 +223,17 @@ Status StoreManager::WriteSnapshot(const core::SignatureServer& server) {
     snapshot_errors_->Inc();
     return sync_status;
   }
-  SnapshotContents snapshot;
+  // Serialized straight from the server's pools: no copy of them is made.
+  const std::string params = DescribeBuildParams(server.options());
+  const std::string signatures = server.Feed();
+  SnapshotView snapshot;
   snapshot.feed_version = server.feed_version();
   snapshot.last_sequence = last_sequence();
   snapshot.new_suspicious = server.new_suspicious();
-  snapshot.params = DescribeBuildParams(server.options());
-  snapshot.signatures = server.Feed();
-  snapshot.suspicious = server.suspicious_pool();
-  snapshot.normal = server.normal_pool();
+  snapshot.params = params;
+  snapshot.signatures = signatures;
+  snapshot.suspicious = &server.suspicious_pool();
+  snapshot.normal = &server.normal_pool();
   Status write_status = WriteSnapshotFile(dir_, dirpath_, snapshot);
   if (!write_status.ok()) {
     snapshot_errors_->Inc();

@@ -17,7 +17,9 @@ TEST(HuffmanTest, SingleSymbolGetsLengthOne) {
   auto lengths = BuildHuffmanCodeLengths(freqs);
   EXPECT_EQ(lengths[3], 1);
   for (size_t s = 0; s < lengths.size(); ++s) {
-    if (s != 3) EXPECT_EQ(lengths[s], 0);
+    if (s != 3) {
+      EXPECT_EQ(lengths[s], 0);
+    }
   }
 }
 

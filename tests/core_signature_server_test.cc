@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+#include <vector>
+
 #include "core/flow_monitor.h"
 #include "sim/trafficgen.h"
+#include "store/snapshot.h"
+#include "store/store_manager.h"
+#include "testing/scripted_file.h"
 #include "util/rng.h"
 
 namespace leakdet::core {
@@ -109,6 +116,122 @@ TEST_F(SignatureServerTest, PoolsEvictFifoAtCap) {
   }
   EXPECT_EQ(server.suspicious_pool_size(), 30u);
   EXPECT_EQ(server.normal_pool_size(), 20u);
+}
+
+/// The naive model of the server's pools: a FIFO deque per pool, trimmed to
+/// its cap on every push, and the since-last-retrain counter.
+struct PoolModel {
+  std::deque<HttpPacket> suspicious;
+  std::deque<HttpPacket> normal;
+  size_t new_suspicious = 0;
+
+  static std::vector<HttpPacket> Vec(const std::deque<HttpPacket>& pool) {
+    return std::vector<HttpPacket>(pool.begin(), pool.end());
+  }
+};
+
+void ExpectPoolsMatch(SignatureServer& server, const PoolModel& model,
+                      bool check_accessors, const std::string& where) {
+  ASSERT_EQ(server.suspicious_pool_size(), model.suspicious.size()) << where;
+  ASSERT_EQ(server.normal_pool_size(), model.normal.size()) << where;
+  ASSERT_EQ(server.new_suspicious(), model.new_suspicious) << where;
+  if (!check_accessors) return;
+  ASSERT_EQ(server.suspicious_pool(), PoolModel::Vec(model.suspicious))
+      << where;
+  ASSERT_EQ(server.normal_pool(), PoolModel::Vec(model.normal)) << where;
+}
+
+// Random ingest streams on tiny caps against the deque model: the live pool
+// sizes after every ingest, the pools the accessors return (read at varying
+// rates, so evictions pile up between reads), the exact pools every retrain
+// trains on, a Restore() mid-stream (including pools above their caps), and
+// snapshots taken between retrains.
+TEST_F(SignatureServerTest, PoolEvictionMatchesFifoModel) {
+  options_.max_normal_pool = 5;
+  options_.max_suspicious_pool = 3;
+  options_.retrain_after = 2;
+  for (uint64_t stream = 0; stream < 12; ++stream) {
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    Rng rng(1000 + stream);
+    const uint64_t check_every = std::vector<uint64_t>{1, 4, 1000}[stream % 3];
+    SignatureServer server(&oracle_, options_);
+    std::vector<std::pair<std::vector<HttpPacket>, std::vector<HttpPacket>>>
+        trained;
+    server.SetTrainingBackend(
+        [&](const std::vector<HttpPacket>& suspicious,
+            const std::vector<HttpPacket>& normal, const PipelineOptions&) {
+          trained.emplace_back(suspicious, normal);
+          return StatusOr<PipelineResult>(PipelineResult{});
+        });
+    leakdet::testing::ScriptedDir dir;
+    auto store = store::StoreManager::Open(&dir, "data", store::StoreOptions());
+    ASSERT_TRUE(store.ok());
+
+    PoolModel model;
+    size_t expected_retrains = 0;
+    const int steps = 300;
+    const int restore_at = static_cast<int>(rng.UniformInt(steps));
+    for (int step = 0; step < steps; ++step) {
+      const std::string where = "step " + std::to_string(step);
+      if (step == restore_at) {
+        // Restore a state of its own, with pools above their caps: the next
+        // ingest into each pool trims it back, exactly as a push would.
+        SignatureServer::State state;
+        model = PoolModel{};
+        for (int i = 0; i < 7; ++i) {
+          model.suspicious.push_back(AdPacket("r" + std::to_string(i), true));
+        }
+        for (int i = 0; i < 9; ++i) {
+          model.normal.push_back(AdPacket("q" + std::to_string(i), false));
+        }
+        model.new_suspicious = 1;
+        state.suspicious = PoolModel::Vec(model.suspicious);
+        state.normal = PoolModel::Vec(model.normal);
+        state.new_suspicious = model.new_suspicious;
+        state.feed_version = server.feed_version();
+        server.Restore(std::move(state));
+        ExpectPoolsMatch(server, model, rng.UniformInt(2) == 0, where);
+      }
+
+      const bool leaking = rng.UniformInt(100) < 45;
+      HttpPacket packet = AdPacket(rng.RandomHex(6), leaking);
+      std::deque<HttpPacket>& pool =
+          leaking ? model.suspicious : model.normal;
+      pool.push_back(packet);
+      const size_t cap =
+          leaking ? options_.max_suspicious_pool : options_.max_normal_pool;
+      while (pool.size() > cap) pool.pop_front();
+      bool retrain_expected = false;
+      if (leaking && ++model.new_suspicious >= options_.retrain_after) {
+        retrain_expected = true;
+        ++expected_retrains;
+      }
+
+      ASSERT_EQ(server.Ingest(packet), retrain_expected) << where;
+      if (retrain_expected) {
+        ASSERT_EQ(trained.size(), expected_retrains) << where;
+        EXPECT_EQ(trained.back().first, PoolModel::Vec(model.suspicious))
+            << where;
+        EXPECT_EQ(trained.back().second, PoolModel::Vec(model.normal))
+            << where;
+        model.new_suspicious = 0;
+      }
+      ExpectPoolsMatch(server, model, rng.UniformInt(check_every) == 0, where);
+
+      if (!retrain_expected && rng.UniformInt(40) == 0) {
+        // A snapshot between retrains persists exactly the live pools.
+        ASSERT_TRUE((*store)->WriteSnapshot(server).ok()) << where;
+        auto loaded = store::LoadNewestSnapshot(&dir, "data");
+        ASSERT_TRUE(loaded.ok()) << where;
+        EXPECT_EQ(loaded->suspicious, PoolModel::Vec(model.suspicious))
+            << where;
+        EXPECT_EQ(loaded->normal, PoolModel::Vec(model.normal)) << where;
+        EXPECT_EQ(loaded->new_suspicious, model.new_suspicious) << where;
+      }
+    }
+    ExpectPoolsMatch(server, model, true, "end");
+    EXPECT_EQ(server.feed_version(), expected_retrains);
+  }
 }
 
 TEST_F(SignatureServerTest, ManualRetrainWithoutTrafficIsNoop) {

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "util/rng.h"
+
 namespace leakdet::crypto {
 namespace {
 
@@ -44,17 +46,34 @@ TEST(Sha1Test, UpperCaseVariant) {
 }
 
 TEST(Sha1Test, StreamingMatchesOneShot) {
+  // Random bytes, split at every offset through the first two blocks and
+  // past them, so each buffered-prefix length meets the block function.
+  Rng rng(20240917);
   std::string data;
-  for (int i = 0; i < 777; ++i) data += static_cast<char>(i * 31 % 256);
-  for (size_t split : {1ul, 63ul, 64ul, 65ul, 300ul}) {
+  for (int i = 0; i < 777; ++i) data += static_cast<char>(rng.UniformInt(256));
+  Sha1 oneshot;
+  oneshot.Update(data);
+  const auto expected = oneshot.Finish();
+  for (size_t split = 0; split <= 130; ++split) {
     Sha1 sha;
     sha.Update(std::string_view(data).substr(0, split));
     sha.Update(std::string_view(data).substr(split));
-    auto streamed = sha.Finish();
-    Sha1 oneshot;
-    oneshot.Update(data);
-    EXPECT_EQ(streamed, oneshot.Finish()) << "split=" << split;
+    EXPECT_EQ(sha.Finish(), expected) << "split=" << split;
+    // Also a three-way split whose middle piece straddles a block boundary.
+    Sha1 three;
+    three.Update(std::string_view(data).substr(0, split));
+    three.Update(std::string_view(data).substr(split, 67));
+    three.Update(std::string_view(data).substr(split + 67));
+    EXPECT_EQ(three.Finish(), expected) << "three-way split=" << split;
   }
+}
+
+// The FIPS 180 896-bit message (the 448-bit one is in StandardVectors): 112
+// bytes, so its padding and length share the second block with the message.
+TEST(Sha1Test, MultiBlockVectors) {
+  EXPECT_EQ(Sha1Hex("abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+                    "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "a49b2446a02c645bf419f995b67091253a04a259");
 }
 
 TEST(Sha1Test, ResetAllowsReuse) {

@@ -6,10 +6,16 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/detector.h"
+#include "core/payload_check.h"
+#include "core/signature_server.h"
+#include "gateway/trainer.h"
 #include "match/compiled_set.h"
+#include "net/host.h"
+#include "sim/trafficgen.h"
 #include "util/rng.h"
 
 namespace leakdet::gateway {
@@ -274,6 +280,123 @@ TEST(DetectionGatewayTest, StartTwiceFails) {
   ASSERT_TRUE(gateway.Start().ok());
   EXPECT_FALSE(gateway.Start().ok());
   gateway.Stop();
+}
+
+/// What a published epoch looked like when it went live, for comparing
+/// against whatever TrainerLoop::SetForVersion later hands back.
+struct EpochImage {
+  std::string serialized;
+  size_t num_states = 0;
+  size_t table_bytes = 0;
+  std::vector<std::vector<size_t>> hits;  ///< MatchInto hits per trace packet
+  std::weak_ptr<const CompiledSignatureSet> weak;
+};
+
+EpochImage ImageOf(const std::shared_ptr<const CompiledSignatureSet>& set,
+                   const std::vector<std::string>& contents,
+                   const std::vector<std::string>& domains) {
+  EpochImage image;
+  image.serialized = set->set().Serialize();
+  image.num_states = set->num_states();
+  image.table_bytes = set->table_bytes();
+  match::MatchScratch scratch;
+  for (size_t i = 0; i < contents.size(); ++i) {
+    set->MatchInto(contents[i], domains[i], &scratch);
+    image.hits.push_back(scratch.hits);
+  }
+  image.weak = set;
+  return image;
+}
+
+// The trainer's epoch archive keeps every version's signature set, not its
+// compiled matcher: once the gateway moves on and nobody else holds an old
+// epoch, it is freed, and SetForVersion rebuilds an identical one on demand.
+TEST(TrainerArchiveTest, SetForVersionRebuildsEveryPublishedEpoch) {
+  sim::TrafficConfig config;
+  config.seed = 33;
+  config.scale = 0.03;
+  sim::Trace trace = sim::GenerateTrace(config);
+  core::PayloadCheck oracle({trace.device.ToTokens()});
+  core::SignatureServer::Options options;
+  options.retrain_after = 1u << 30;  // retrains only when the test asks
+  options.pipeline.sample_size = 40;
+  options.pipeline.normal_corpus_size = 100;
+  options.pipeline.num_threads = 1;
+  core::SignatureServer server(&oracle, options);
+  DetectionGateway gateway(GatewayOptions{});
+  TrainerLoop trainer(&server, &gateway, TrainerOptions{});
+  std::vector<std::string> contents, domains;
+  for (const sim::LabeledPacket& lp : trace.packets) {
+    server.Ingest(lp.packet);
+    contents.push_back(core::PacketContent(lp.packet));
+    domains.push_back(net::RegistrableDomain(lp.packet.destination.host));
+  }
+
+  // Publish K epochs through the trainer's feed observer. Each Retrain draws
+  // a fresh sample, so the epochs differ.
+  constexpr uint64_t kEpochs = 5;
+  std::vector<EpochImage> published(kEpochs + 1);
+  for (uint64_t v = 1; v <= kEpochs; ++v) {
+    ASSERT_TRUE(server.Retrain());
+    std::shared_ptr<const CompiledSignatureSet> live = gateway.current_set();
+    ASSERT_NE(live, nullptr);
+    ASSERT_EQ(live->version(), v);
+    EXPECT_EQ(trainer.SetForVersion(v), live);  // the live epoch, not a copy
+    published[v] = ImageOf(live, contents, domains);
+  }
+  EXPECT_EQ(trainer.feeds_published(), kEpochs);
+
+  // The gateway serves only the newest epoch; the archive holds no compiled
+  // set of its own, so every older one is already gone.
+  for (uint64_t v = 1; v < kEpochs; ++v) {
+    EXPECT_TRUE(published[v].weak.expired()) << "version " << v;
+  }
+  ASSERT_FALSE(published[kEpochs].weak.expired());
+
+  for (uint64_t v = 1; v <= kEpochs; ++v) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    std::shared_ptr<const CompiledSignatureSet> got = trainer.SetForVersion(v);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->version(), v);
+    EpochImage image = ImageOf(got, contents, domains);
+    EXPECT_EQ(image.serialized, published[v].serialized);
+    EXPECT_EQ(image.num_states, published[v].num_states);
+    EXPECT_EQ(image.table_bytes, published[v].table_bytes);
+    EXPECT_EQ(image.hits, published[v].hits);
+    // While anyone holds an epoch, every lookup returns that same object.
+    EXPECT_EQ(trainer.SetForVersion(v), got);
+    if (v == kEpochs) {
+      EXPECT_EQ(got, gateway.current_set());
+    } else {
+      std::weak_ptr<const CompiledSignatureSet> weak = got;
+      got.reset();
+      EXPECT_TRUE(weak.expired()) << "the archive kept a rebuilt epoch alive";
+    }
+  }
+  EXPECT_EQ(trainer.SetForVersion(0), nullptr);
+  EXPECT_EQ(trainer.SetForVersion(kEpochs + 1), nullptr);
+
+  // Concurrent lookups of released epochs race to rebuild them, but while
+  // the results are held every caller gets the one object.
+  constexpr size_t kReaders = 4;
+  std::vector<std::vector<std::shared_ptr<const CompiledSignatureSet>>> got(
+      kReaders);
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (uint64_t v = 1; v <= kEpochs; ++v) {
+        got[r].push_back(trainer.SetForVersion(v));
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  for (uint64_t v = 1; v <= kEpochs; ++v) {
+    ASSERT_NE(got[0][v - 1], nullptr);
+    EXPECT_EQ(got[0][v - 1]->set().Serialize(), published[v].serialized);
+    for (size_t r = 1; r < kReaders; ++r) {
+      EXPECT_EQ(got[r][v - 1], got[0][v - 1]) << "version " << v;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
-// Regression tests for the trainer's WAL group-commit accounting around
-// snapshot failures.
+// Regression tests for the trainer's WAL accounting: a record whose append
+// fails is never ingested, and group commit survives snapshot failures.
+//
+// Logged-before-ingested: recovery rebuilds the server from the snapshot
+// plus the WAL suffix, so a record the server trains on must be in the log.
+// When StoreManager::Append fails, TrainerLoop::Run used to count the error
+// and ingest the record anyway, leaving a server whose pools (and feed)
+// recovery could not reproduce.
 //
 // TrainerLoop::Run counts appends the sync policy has deferred
 // (`appends_unflushed`) and group-commits them with one Sync when the
@@ -215,6 +221,63 @@ TEST(TrainerWalSyncTest, SuccessfulSnapshotMakesRecordDurable) {
   EXPECT_EQ(
       gateway.metrics()->GetCounter("trainer.snapshots", {})->Value(), 1u);
   EXPECT_EQ((*store)->durable_sequence(), 1u);
+
+  trainer.Stop();
+}
+
+// The regression: an append failure (injected through the store::Dir seam)
+// counts in trainer.wal_errors and the record is skipped, not ingested.
+TEST(TrainerWalAppendTest, FailedAppendIsNeverIngested) {
+  // Every file write fails short; once the active segment is also gone, the
+  // WAL writer cannot repair its tail and refuses the append.
+  leakdet::testing::StoreFaultProfile profile;
+  profile.short_write = 1.0;
+  ScriptedDir dir(/*seed=*/5, profile);
+  store::StoreOptions store_options;
+  store_options.wal.sync_policy = store::SyncPolicy::kEveryRecord;
+  auto store = store::StoreManager::Open(&dir, "data", store_options);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  auto names = dir.List("data");
+  ASSERT_TRUE(names.ok());
+  size_t segments = 0;
+  for (const std::string& name : *names) {
+    uint64_t id = 0;
+    if (store::ParseSegmentFileName(name, &id)) {
+      ASSERT_TRUE(dir.Remove("data/" + name).ok());
+      ++segments;
+    }
+  }
+  ASSERT_EQ(segments, 1u);
+
+  Rng rng(7);
+  core::DeviceTokens device;
+  device.android_id = rng.RandomHex(16);
+  core::PayloadCheck oracle(std::vector<core::DeviceTokens>{device});
+  std::vector<std::string> tokens{device.android_id};
+
+  core::SignatureServer server(&oracle, TinyServerOptions());
+  GatewayOptions gateway_options;
+  gateway_options.num_shards = 1;
+  DetectionGateway gateway(gateway_options);
+  TrainerOptions trainer_options;
+  trainer_options.store = store->get();
+  TrainerLoop trainer(&server, &gateway, trainer_options);
+  ASSERT_TRUE(trainer.Start().ok());
+
+  Verdict verdict;
+  verdict.sensitive = true;
+  ASSERT_TRUE(trainer.Offer(GeneratePacket(&rng, tokens, 1.0), verdict));
+  WaitForProcessed(trainer, 1);
+
+  MetricsRegistry* metrics = gateway.metrics();
+  EXPECT_EQ(metrics->GetCounter("trainer.wal_errors", {})->Value(), 1u);
+  EXPECT_EQ(metrics->GetCounter("trainer.wal_appends", {})->Value(), 0u);
+  EXPECT_EQ(metrics->GetCounter("trainer.ingested", {})->Value(), 0u);
+  // Nothing the log lacks reached the server: no pooled packet, no epoch.
+  EXPECT_EQ(server.suspicious_pool_size(), 0u);
+  EXPECT_EQ(server.normal_pool_size(), 0u);
+  EXPECT_EQ(server.feed_version(), 0u);
+  EXPECT_EQ(trainer.feeds_published(), 0u);
 
   trainer.Stop();
 }

@@ -4,6 +4,10 @@
 
 #include <string>
 
+#include "core/payload_check.h"
+#include "core/signature_server.h"
+#include "crypto/sha1.h"
+#include "store/store_manager.h"
 #include "testing/scripted_file.h"
 
 namespace leakdet::store {
@@ -56,6 +60,96 @@ TEST(SnapshotTest, SerializeParseRoundTrips) {
   // Bit-identical re-serialization: the format is canonical, which is what
   // lets the crash-recovery differential compare states by string equality.
   EXPECT_EQ(SerializeSnapshot(*parsed), SerializeSnapshot(snapshot));
+}
+
+/// A fixed snapshot whose pools exercise every JSON escape the pool encoder
+/// emits: quotes, backslashes, control bytes, bytes >= 0x80, an empty cookie
+/// and body, and (in the normal pool) nothing at all.
+SnapshotContents GoldenSnapshot() {
+  SnapshotContents snapshot;
+  snapshot.feed_version = 42;
+  snapshot.last_sequence = 987654321;
+  snapshot.new_suspicious = 7;
+  snapshot.params = "sample_size=300 cut_height=2.000000 compressor=lzw";
+  snapshot.signatures = "sig v1\n\"quoted\" \\ tail\n";
+  core::HttpPacket escapes;
+  escapes.app_id = 4000000000u;
+  escapes.destination.host = "t.\xe3\x81\x82.example.jp";
+  escapes.destination.ip = *net::Ipv4Address::Parse("203.0.113.9");
+  escapes.destination.port = 8080;
+  escapes.request_line = "GET /a?q=\"x\"&b=\\y HTTP/1.1";
+  static constexpr char kCookie[] = "sid=\x01\x1f\x7f\x80\xff;";
+  static constexpr char kBody[] = "line1\r\nline2\tend\0nul\b\f";
+  escapes.cookie = std::string(kCookie, sizeof(kCookie) - 1);
+  escapes.body = std::string(kBody, sizeof(kBody) - 1);
+  snapshot.suspicious.push_back(escapes);
+  core::HttpPacket empty_fields;
+  empty_fields.app_id = 0;
+  empty_fields.destination.host = "";
+  empty_fields.destination.port = 443;
+  empty_fields.request_line = "POST / HTTP/1.1";
+  snapshot.suspicious.push_back(empty_fields);
+  snapshot.suspicious.push_back(PoolPacket(9, "\xc2\xa9 mark"));
+  return snapshot;
+}
+
+// Pins the serializer's exact bytes: a change to the snapshot encoding (or to
+// the SHA-1 that stamps it) must show up here, not as recovery drift.
+TEST(SnapshotTest, SerializationIsPinnedByGoldenDigest) {
+  SnapshotContents snapshot = GoldenSnapshot();
+  std::string text = SerializeSnapshot(snapshot);
+  EXPECT_EQ(crypto::Sha1Hex(text), "36646f72acd1bd6a8ea953cc60ac9f5c62ce4c71");
+  StatusOr<SnapshotContents> parsed = ParseSnapshot(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->suspicious, snapshot.suspicious);
+  EXPECT_TRUE(parsed->normal.empty());
+
+  // The same pools the other way round: an empty suspicious pool.
+  std::swap(snapshot.suspicious, snapshot.normal);
+  EXPECT_EQ(crypto::Sha1Hex(SerializeSnapshot(snapshot)),
+            "b20026d0d901c18f15773f07f2e1d7add59e1d4e");
+}
+
+// StoreManager::WriteSnapshot serializes from the live server; the file it
+// leaves must be exactly SerializeSnapshot of a copy of that state, with
+// evictions pending in both pools.
+TEST(SnapshotTest, StoreManagerWritesTheSerializedServerState) {
+  core::DeviceTokens device;
+  device.android_id = "9774d56d682e549c";
+  core::PayloadCheck oracle({device});
+  core::SignatureServer::Options options;
+  options.retrain_after = 1000000;
+  options.max_suspicious_pool = 4;
+  options.max_normal_pool = 3;
+  core::SignatureServer server(&oracle, options);
+  core::SignatureServer::State state;
+  state.new_suspicious = 5;
+  server.Restore(std::move(state));
+  for (uint32_t i = 0; i < 11; ++i) {
+    core::HttpPacket packet = PoolPacket(i, "m" + std::to_string(i));
+    if (i % 3 != 0) packet.body += "&aid=9774d56d682e549c";
+    server.Ingest(packet);
+  }
+
+  leakdet::testing::ScriptedDir dir;
+  auto store = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->WriteSnapshot(server).ok());
+
+  SnapshotContents copied;
+  copied.feed_version = server.feed_version();
+  copied.last_sequence = (*store)->last_sequence();
+  copied.new_suspicious = server.new_suspicious();
+  copied.params = DescribeBuildParams(server.options());
+  copied.signatures = server.Feed();
+  copied.suspicious = server.suspicious_pool();
+  copied.normal = server.normal_pool();
+  EXPECT_EQ(copied.suspicious.size(), 4u);
+  EXPECT_EQ(copied.normal.size(), 3u);
+  auto written = dir.Read(
+      "data/" + SnapshotFileName(copied.feed_version, copied.last_sequence));
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, SerializeSnapshot(copied));
 }
 
 TEST(SnapshotTest, DigestCatchesEveryByteFlip) {

@@ -155,7 +155,9 @@ TEST(ZipfSamplerTest, PmfSumsToOneAndDecreases) {
   double sum = 0;
   for (size_t k = 0; k < 100; ++k) {
     sum += zipf.Pmf(k);
-    if (k > 0) EXPECT_LE(zipf.Pmf(k), zipf.Pmf(k - 1) + 1e-12);
+    if (k > 0) {
+      EXPECT_LE(zipf.Pmf(k), zipf.Pmf(k - 1) + 1e-12);
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }

@@ -3,10 +3,11 @@
 // several sample sizes and writes the measurements to BENCH_training.json.
 //
 // For each N the matrix stage is measured twice: the optimized path
-// (interning + shared NCD pair cache + chunked parallel rows) and, up to
-// --naive-max, the serial uncached reference; likewise NN-chain vs the
-// naive O(n³) scan for clustering. That makes the JSON a self-contained
-// before/after record of the training-path optimization.
+// (sorted per-field interning + one stream per size-table row + lock-free
+// packet-pair lookups) and, up to --naive-max, the serial uncached
+// reference; likewise NN-chain vs the naive O(n³) scan for clustering.
+// That makes the JSON a self-contained before/after record of the
+// training-path optimization.
 //
 // Usage:
 //   bench_training [--sizes=100,250,500,1000] [--scale=0.3] [--seed=42]

@@ -30,22 +30,23 @@ class Compressor {
   /// Length in bytes of Compress(input). Default delegates to Compress().
   virtual size_t CompressedSize(std::string_view input) const;
 
-  /// Frozen mid-stream codec state after absorbing a prefix string. NCD over
-  /// a distance matrix sizes the same prefix against many suffixes (C(xy)
-  /// for one x and every paired y); resuming from the prefix state skips
-  /// re-processing the prefix on every pair.
+  /// Mid-stream codec state after absorbing a prefix string. NCD over a
+  /// distance matrix sizes the same prefix against many suffixes (C(xy) for
+  /// one x and every paired y); resuming from the prefix state skips
+  /// re-processing the prefix on every pair. Single-caller: SizeWithSuffix
+  /// mutates the state while it runs, so give each thread its own stream.
   class Stream {
    public:
     virtual ~Stream() = default;
 
     /// Length in bytes of Compress(prefix + suffix), bit-identical to
-    /// CompressedSize on the materialized concatenation. Thread-safe: the
-    /// frozen state is read-only and may be shared across callers.
-    virtual size_t SizeWithSuffix(std::string_view suffix) const = 0;
+    /// CompressedSize on the materialized concatenation, whatever calls
+    /// came before.
+    virtual size_t SizeWithSuffix(std::string_view suffix) = 0;
   };
 
-  /// Freezes the codec state after `prefix`. Returns nullptr when the codec
-  /// does not support resumption (callers fall back to materializing the
+  /// The codec state after `prefix`. Returns nullptr when the codec does not
+  /// support resumption (callers fall back to materializing the
   /// concatenation).
   virtual std::unique_ptr<Stream> NewStream(std::string_view /*prefix*/) const {
     return nullptr;

@@ -43,13 +43,7 @@ size_t VarintLength(uint64_t value) {
 /// (16-bit code << 8 | byte), so ~0 is a safe empty sentinel.
 class FlatCodeTable {
  public:
-  explicit FlatCodeTable(size_t expected_entries = 512) {
-    size_t cap = 64;
-    while (cap * 7 < expected_entries * 10) cap <<= 1;
-    keys_.assign(cap, kEmpty);
-    vals_.resize(cap);
-    mask_ = cap - 1;
-  }
+  FlatCodeTable() : keys_(1024, kEmpty), vals_(1024), mask_(1023) {}
 
   /// Pointer to the stored code, or nullptr when absent.
   const uint32_t* Find(uint64_t key) const {
@@ -62,13 +56,29 @@ class FlatCodeTable {
   }
 
   /// `key` must not already be present (LZW only inserts after a miss).
-  void Insert(uint64_t key, uint32_t val) {
+  /// Returns the slot the key landed in.
+  size_t Insert(uint64_t key, uint32_t val) {
     if ((size_ + 1) * 10 > keys_.size() * 7) Grow();
     size_t i = Hash(key) & mask_;
     while (keys_[i] != kEmpty) i = (i + 1) & mask_;
     keys_[i] = key;
     vals_[i] = val;
     ++size_;
+    return i;
+  }
+
+  /// Grows now, if needed, so `extra` more inserts cannot rehash: slots
+  /// returned by those inserts stay valid until they are erased.
+  void Reserve(size_t extra) {
+    while ((size_ + extra) * 10 > keys_.size() * 7) Grow();
+  }
+
+  /// Empties `slot`, which must hold the most recently inserted live key.
+  /// Linear probing never probes past an empty slot, so undoing inserts in
+  /// LIFO order restores the exact table they were made on.
+  void EraseNewest(size_t slot) {
+    keys_[slot] = kEmpty;
+    --size_;
   }
 
  private:
@@ -104,7 +114,8 @@ class FlatCodeTable {
 /// The encoder state machine shared by Compress, the count-only
 /// CompressedSize, and stream resumption. `Emit` is called with
 /// (code, width) exactly as Compress writes them, so every consumer sees
-/// the identical code sequence.
+/// the identical code sequence. When `undo` is non-null, the dictionary
+/// slot of every code minted is appended to it.
 struct LzwEncoderState {
   FlatCodeTable dict;
   uint32_t next_code = 256;
@@ -112,7 +123,8 @@ struct LzwEncoderState {
   bool has_cur = false;
 
   template <typename Emit>
-  void Absorb(std::string_view input, const Emit& emit) {
+  void Absorb(std::string_view input, const Emit& emit,
+              std::vector<uint32_t>* undo = nullptr) {
     size_t i = 0;
     if (!has_cur) {
       if (input.empty()) return;
@@ -128,71 +140,63 @@ struct LzwEncoderState {
       }
       emit(cur, BitsForCode(next_code + 1));
       if (next_code < kMaxCodes) {
-        dict.Insert(Key(cur, c), next_code++);
+        size_t slot = dict.Insert(Key(cur, c), next_code++);
+        if (undo != nullptr) undo->push_back(static_cast<uint32_t>(slot));
       }
       cur = c;
     }
   }
+
+  /// Payload bits of Absorb(input), final pending-phrase emission excluded.
+  size_t AbsorbCountingBits(std::string_view input,
+                            std::vector<uint32_t>* undo = nullptr) {
+    size_t bits = 0;
+    Absorb(
+        input,
+        [&bits](uint32_t, int nbits) { bits += static_cast<size_t>(nbits); },
+        undo);
+    return bits;
+  }
 };
 
-/// Replays `suffix` against a frozen prefix state and returns the total
-/// payload bit count (including the final pending-phrase emission). New
-/// dictionary entries discovered in the suffix go into a local overlay, so
-/// the frozen state stays shareable across concurrent callers.
-size_t ResumeBits(const LzwEncoderState& frozen, size_t frozen_bits,
-                  std::string_view suffix) {
-  // At most one overlay entry is minted per suffix byte.
-  FlatCodeTable overlay(std::min<size_t>(suffix.size(), kMaxCodes));
-  uint32_t next_code = frozen.next_code;
-  uint32_t cur = frozen.cur;
-  bool has_cur = frozen.has_cur;
-  size_t bits = frozen_bits;
-  size_t i = 0;
-  if (!has_cur) {
-    if (suffix.empty()) return bits;
-    cur = static_cast<uint8_t>(suffix[0]);
-    has_cur = true;
-    i = 1;
-  }
-  for (; i < suffix.size(); ++i) {
-    uint8_t c = static_cast<uint8_t>(suffix[i]);
-    uint64_t key = Key(cur, c);
-    if (const uint32_t* code = frozen.dict.Find(key)) {
-      cur = *code;
-      continue;
-    }
-    // A key minted during the suffix cannot collide with the frozen
-    // dictionary (entries are only added on a miss against both).
-    if (const uint32_t* code = overlay.Find(key)) {
-      cur = *code;
-      continue;
-    }
-    bits += static_cast<size_t>(BitsForCode(next_code + 1));
-    if (next_code < kMaxCodes) {
-      overlay.Insert(key, next_code++);
-    }
-    cur = c;
-  }
-  if (has_cur) bits += static_cast<size_t>(BitsForCode(next_code + 1));
-  return bits;
-}
-
+/// The encoder state after a prefix. Each SizeWithSuffix absorbs the suffix
+/// into the prefix's own dictionary, logging the slot of every code it
+/// mints, then erases those slots newest first and restores the scalar
+/// state: one probe per suffix byte and no allocation once the log and the
+/// table have grown to the longest suffix seen.
 class LzwStream : public Compressor::Stream {
  public:
-  LzwStream(LzwEncoderState state, size_t bits, size_t prefix_len)
-      : state_(std::move(state)), bits_(bits), prefix_len_(prefix_len) {}
+  explicit LzwStream(std::string_view prefix) : prefix_len_(prefix.size()) {
+    bits_ = state_.AbsorbCountingBits(prefix);
+  }
 
-  size_t SizeWithSuffix(std::string_view suffix) const override {
+  size_t SizeWithSuffix(std::string_view suffix) override {
     size_t total = prefix_len_ + suffix.size();
     size_t header = 1 + VarintLength(total);
     if (total == 0) return header;
-    return header + (ResumeBits(state_, bits_, suffix) + 7) / 8;
+    const uint32_t next_code = state_.next_code;
+    const uint32_t cur = state_.cur;
+    const bool has_cur = state_.has_cur;
+    // At most one code is minted per suffix byte, and none past the freeze.
+    state_.dict.Reserve(
+        std::min<size_t>(suffix.size(), kMaxCodes - state_.next_code));
+    size_t bits = bits_ + state_.AbsorbCountingBits(suffix, &undo_);
+    bits += static_cast<size_t>(BitsForCode(state_.next_code + 1));
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      state_.dict.EraseNewest(*it);
+    }
+    undo_.clear();
+    state_.next_code = next_code;
+    state_.cur = cur;
+    state_.has_cur = has_cur;
+    return header + (bits + 7) / 8;
   }
 
  private:
   LzwEncoderState state_;
-  size_t bits_;  ///< payload bits emitted inside the prefix
+  size_t bits_ = 0;  ///< payload bits emitted inside the prefix
   size_t prefix_len_;
+  std::vector<uint32_t> undo_;  ///< dictionary slots minted by the suffix
 };
 
 }  // namespace
@@ -222,22 +226,14 @@ size_t LzwCompressor::CompressedSize(std::string_view input) const {
   size_t header = 1 + VarintLength(input.size());
   if (input.empty()) return header;
   LzwEncoderState state;
-  size_t bits = 0;
-  state.Absorb(input, [&bits](uint32_t, int nbits) {
-    bits += static_cast<size_t>(nbits);
-  });
+  size_t bits = state.AbsorbCountingBits(input);
   bits += static_cast<size_t>(BitsForCode(state.next_code + 1));
   return header + (bits + 7) / 8;
 }
 
 std::unique_ptr<Compressor::Stream> LzwCompressor::NewStream(
     std::string_view prefix) const {
-  LzwEncoderState state;
-  size_t bits = 0;
-  state.Absorb(prefix, [&bits](uint32_t, int nbits) {
-    bits += static_cast<size_t>(nbits);
-  });
-  return std::make_unique<LzwStream>(std::move(state), bits, prefix.size());
+  return std::make_unique<LzwStream>(prefix);
 }
 
 StatusOr<std::string> LzwCompressor::Decompress(

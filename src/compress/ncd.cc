@@ -1,7 +1,6 @@
 #include "compress/ncd.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 namespace leakdet::compress {
@@ -43,78 +42,6 @@ double NcdCalculator::Ncd(std::string_view x, std::string_view y) {
   size_t cy = CompressedSize(y);
   size_t cxy = CanonicalPairCompressedSize(*compressor_, x, y);
   return NcdFromSizes(cx, cy, cxy);
-}
-
-NcdPairCache::NcdPairCache(const Compressor* compressor,
-                           std::vector<std::string_view> strings)
-    : compressor_(compressor),
-      strings_(std::move(strings)),
-      sizes_(strings_.size(), 0),
-      streams_(strings_.size()) {}
-
-void NcdPairCache::PrecomputeSizes(unsigned num_threads) {
-  const size_t n = strings_.size();
-  if (n == 0) return;
-  std::atomic<size_t> cursor{0};
-  // Chunked claims: singleton compressions vary wildly in cost (empty
-  // cookies vs multi-KB bodies), so fixed splits would straggle.
-  const size_t chunk = std::max<size_t>(1, n / 64);
-  auto worker = [&] {
-    for (;;) {
-      size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= n) return;
-      size_t end = std::min(n, begin + chunk);
-      for (size_t i = begin; i < end; ++i) {
-        // One absorption per string yields both C(x) and (when the codec
-        // supports it) the frozen state pair compressions resume from.
-        streams_[i] = compressor_->NewStream(strings_[i]);
-        sizes_[i] = streams_[i] != nullptr
-                        ? streams_[i]->SizeWithSuffix({})
-                        : compressor_->CompressedSize(strings_[i]);
-      }
-    }
-  };
-  if (num_threads <= 1) {
-    worker();
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (unsigned w = 0; w < num_threads; ++w) workers.emplace_back(worker);
-  for (std::thread& t : workers) t.join();
-}
-
-double NcdPairCache::Ncd(uint32_t x, uint32_t y) {
-  if (x > y) std::swap(x, y);  // canonical (min_id, max_id) key
-  std::string_view sx = strings_[x];
-  std::string_view sy = strings_[y];
-  if (sx.empty() && sy.empty()) return 0.0;
-  uint64_t key = (static_cast<uint64_t>(x) << 32) | y;
-  Shard& shard = shards_[key % kShardCount];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.pairs.find(key);
-    if (it != shard.pairs.end()) {
-      pair_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  // Compute outside the lock: two threads may race to the same pair, but
-  // the value is a pure function so the duplicate insert is benign. The
-  // concatenation orientation is canonical (lexicographically smaller
-  // string first), matching CanonicalPairCompressedSize.
-  uint32_t prefix = sx <= sy ? x : y;
-  uint32_t suffix = prefix == x ? y : x;
-  size_t cxy = streams_[prefix] != nullptr
-                   ? streams_[prefix]->SizeWithSuffix(strings_[suffix])
-                   : CanonicalPairCompressedSize(*compressor_, sx, sy);
-  double v = NcdFromSizes(sizes_[x], sizes_[y], cxy);
-  pairs_computed_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.pairs.emplace(key, v);
-  }
-  return v;
 }
 
 }  // namespace leakdet::compress

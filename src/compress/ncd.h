@@ -1,14 +1,10 @@
 #ifndef LEAKDET_COMPRESS_NCD_H_
 #define LEAKDET_COMPRESS_NCD_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "compress/compressor.h"
 
@@ -36,8 +32,8 @@ struct TransparentStringEq {
 
 /// The NCD formula from precomputed sizes:
 ///   (C(xy) - min(C(x), C(y))) / max(C(x), C(y)), clamped to [0, 1].
-/// Factored out so every NCD evaluation path (per-thread calculator, shared
-/// pair cache) performs bit-identical arithmetic.
+/// Factored out so every NCD evaluation path (the calculator, the matrix
+/// builder's size tables) performs bit-identical arithmetic.
 double NcdFromSizes(size_t cx, size_t cy, size_t cxy);
 
 /// C(xy) with the concatenation order canonicalized (lexicographically
@@ -55,9 +51,9 @@ size_t CanonicalPairCompressedSize(const Compressor& compressor,
 /// where C(s) is the compressed length of s. Values are clamped to [0, 1]
 /// (real compressors can slightly overshoot 1). The concatenation order is
 /// canonicalized, so ncd(x, y) == ncd(y, x) exactly — the distance matrix
-/// and its pair caches rely on this symmetry. The calculator memoizes
-/// single-string sizes C(x), which the clustering distance matrix hits
-/// O(M²) times.
+/// builder sizes each unordered pair once and relies on this symmetry. The
+/// calculator memoizes single-string sizes C(x), which the clustering
+/// distance matrix hits O(M²) times.
 class NcdCalculator {
  public:
   /// `compressor` must outlive the calculator. Not owned.
@@ -84,67 +80,6 @@ class NcdCalculator {
       cache_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-};
-
-/// Thread-shared NCD evaluator over a fixed universe of distinct strings
-/// (dense ids 0..size-1, typically produced by interning the fields of a
-/// packet sample). Singleton sizes C(x) are precomputed once for the whole
-/// universe in one (optionally parallel) pass; pair NCDs are computed once
-/// per distinct unordered pair and shared across worker threads through a
-/// sharded hash map. Keys are canonicalized to (min_id, max_id) — sound
-/// because Ncd evaluation itself is orientation-canonicalized, so one value
-/// serves both orders.
-///
-/// When the codec supports stream resumption (Compressor::NewStream), the
-/// singleton pass also freezes each string's end-of-stream codec state, and
-/// every pair compression then processes only the suffix string — C(xy)
-/// costs C(y)-ish instead of C(x)+C(y)-ish, bit-identical to compressing
-/// the materialized concatenation.
-///
-/// The string views must outlive the cache (they normally point into the
-/// sampled packets' own field storage).
-class NcdPairCache {
- public:
-  NcdPairCache(const Compressor* compressor,
-               std::vector<std::string_view> strings);
-
-  /// Precomputes C(s) for every string in the universe. Work is claimed in
-  /// chunks off an atomic cursor by `num_threads` workers (<= 1 runs
-  /// inline). Must complete before the first Ncd() call.
-  void PrecomputeSizes(unsigned num_threads);
-
-  /// NCD between the strings with ids `x` and `y` (either order). Safe to
-  /// call concurrently from many threads.
-  double Ncd(uint32_t x, uint32_t y);
-
-  size_t size() const { return strings_.size(); }
-  size_t singleton_size(uint32_t id) const { return sizes_[id]; }
-
-  /// Pair lookups served from the shared cache / computed fresh. A "miss"
-  /// is one full compression of a pair concatenation.
-  uint64_t pair_hits() const {
-    return pair_hits_.load(std::memory_order_relaxed);
-  }
-  uint64_t pairs_computed() const {
-    return pairs_computed_.load(std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr size_t kShardCount = 16;
-
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, double> pairs;
-  };
-
-  const Compressor* compressor_;
-  std::vector<std::string_view> strings_;
-  std::vector<size_t> sizes_;
-  /// Frozen per-string codec states (all null if unsupported by the codec).
-  std::vector<std::unique_ptr<Compressor::Stream>> streams_;
-  Shard shards_[kShardCount];
-  std::atomic<uint64_t> pair_hits_{0};
-  std::atomic<uint64_t> pairs_computed_{0};
 };
 
 }  // namespace leakdet::compress

@@ -4,9 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <memory>
+#include <numeric>
 #include <optional>
+#include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "net/ipv4.h"
@@ -115,33 +117,6 @@ DistanceMatrix ComputeDistanceMatrix(const std::vector<HttpPacket>& packets,
 
 namespace {
 
-/// Per-packet interned field ids (indexes into the interners' string lists).
-struct PacketIds {
-  uint32_t rline;
-  uint32_t cookie;
-  uint32_t body;
-  uint32_t host;
-};
-
-/// Dense-id string interner. The views key the map directly — they point
-/// into the packets' own field storage, which outlives the matrix build —
-/// so interning copies nothing.
-class Interner {
- public:
-  uint32_t Intern(std::string_view s) {
-    auto [it, inserted] =
-        map_.try_emplace(s, static_cast<uint32_t>(strings_.size()));
-    if (inserted) strings_.push_back(s);
-    return it->second;
-  }
-
-  const std::vector<std::string_view>& strings() const { return strings_; }
-
- private:
-  std::unordered_map<std::string_view, uint32_t> map_;
-  std::vector<std::string_view> strings_;
-};
-
 /// Runs `worker` on `num_threads` threads (inline when <= 1).
 template <typename Fn>
 void RunWorkers(unsigned num_threads, const Fn& worker) {
@@ -154,6 +129,116 @@ void RunWorkers(unsigned num_threads, const Fn& worker) {
   for (unsigned w = 0; w < num_threads; ++w) workers.emplace_back(worker);
   for (std::thread& t : workers) t.join();
 }
+
+/// The distinct values of one packet field, sorted, with each packet's index
+/// into them. The views point into the packets' own field storage, so
+/// interning copies nothing.
+struct SortedTable {
+  std::vector<std::string_view> strings;
+  std::vector<uint32_t> counts;  ///< occurrences of each string in the sample
+  std::vector<uint32_t> ids;     ///< per packet
+
+  template <typename Field>
+  SortedTable(const std::vector<HttpPacket>& packets, const Field& field)
+      : ids(packets.size()) {
+    std::vector<uint32_t> order(packets.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+      return field(packets[x]) < field(packets[y]);
+    });
+    for (uint32_t i : order) {
+      if (strings.empty() || strings.back() != field(packets[i])) {
+        strings.push_back(field(packets[i]));
+        counts.push_back(0);
+      }
+      ++counts.back();
+      ids[i] = static_cast<uint32_t>(strings.size() - 1);
+    }
+  }
+};
+
+/// Every compressed size the packet loop needs for one content field:
+/// C(s_a) per distinct string, and C(s_a s_b) for a < b in a condensed
+/// triangle (plus a == b when s_a occurs twice or more). The strings are
+/// sorted, so for a < b the canonical concatenation (smaller string first,
+/// as in CanonicalPairCompressedSize) is always s_a s_b, and all of row a
+/// resumes from one stream on s_a.
+class FieldSizes {
+ public:
+  FieldSizes(const std::vector<HttpPacket>& packets,
+             std::string HttpPacket::*field)
+      : table_(packets,
+               [field](const HttpPacket& p) -> std::string_view {
+                 return p.*field;
+               }),
+        sizes_(num_strings()),
+        pair_sizes_(Cell(num_strings(), num_strings())) {}
+
+  size_t num_strings() const { return table_.strings.size(); }
+  uint32_t id(size_t packet) const { return table_.ids[packet]; }
+
+  /// Sizes row `a`. Rows touch disjoint cells, so any number of threads
+  /// may fill distinct rows at once.
+  void FillRow(const compress::Compressor& compressor, uint32_t a) {
+    const std::vector<std::string_view>& strings = table_.strings;
+    std::string_view sa = strings[a];
+    std::unique_ptr<compress::Compressor::Stream> stream =
+        compressor.NewStream(sa);
+    auto pair_size = [&](std::string_view sb) {
+      return static_cast<uint32_t>(
+          stream != nullptr
+              ? stream->SizeWithSuffix(sb)
+              : compress::CanonicalPairCompressedSize(compressor, sa, sb));
+    };
+    sizes_[a] = static_cast<uint32_t>(stream != nullptr
+                                          ? stream->SizeWithSuffix({})
+                                          : compressor.CompressedSize(sa));
+    if (SizesDiagonal(a)) pair_sizes_[Cell(a, a)] = pair_size(sa);
+    for (uint32_t b = a + 1; b < strings.size(); ++b) {
+      pair_sizes_[Cell(a, b)] = pair_size(strings[b]);
+    }
+  }
+
+  /// NCD of the strings with ids `a` and `b`, bit-identical to
+  /// NcdCalculator::Ncd on the strings themselves.
+  double Ncd(uint32_t a, uint32_t b) const {
+    if (a > b) std::swap(a, b);
+    if (a == b && table_.strings[a].empty()) return 0.0;
+    return compress::NcdFromSizes(sizes_[a], sizes_[b],
+                                  pair_sizes_[Cell(a, b)]);
+  }
+
+  /// Adds this field's work to `stats`: pair compressions FillRow does, and
+  /// the packet loop's other Ncd calls (both-empty pairs are no probe).
+  void AddStats(DistanceMatrixStats* stats) const {
+    const uint64_t f = num_strings();
+    uint64_t computed = f * (f - 1) / 2;
+    for (uint32_t a = 0; a < f; ++a) computed += SizesDiagonal(a) ? 1 : 0;
+    const uint64_t n = table_.ids.size();
+    const uint64_t empties =
+        f > 0 && table_.strings[0].empty() ? table_.counts[0] : 0;
+    stats->singleton_compressions += f;
+    stats->ncd_pairs_computed += computed;
+    stats->ncd_pair_hits +=
+        n * (n - 1) / 2 - empties * (empties - 1) / 2 - computed;
+  }
+
+ private:
+  /// Condensed index of (a, b), a <= b: the cells of rows 0..a-1, then b-a.
+  size_t Cell(size_t a, size_t b) const {
+    return a * (2 * num_strings() + 1 - a) / 2 + (b - a);
+  }
+
+  /// A packet pair probes (a, a) only when s_a occurs twice; both-empty
+  /// probes never reach the table.
+  bool SizesDiagonal(uint32_t a) const {
+    return table_.counts[a] >= 2 && !table_.strings[a].empty();
+  }
+
+  SortedTable table_;
+  std::vector<uint32_t> sizes_;
+  std::vector<uint32_t> pair_sizes_;
+};
 
 }  // namespace
 
@@ -175,17 +260,15 @@ DistanceMatrix ComputeDistanceMatrixParallel(
   }
   num_threads = std::min<unsigned>(num_threads, static_cast<unsigned>(n));
 
-  // Intern per-field strings: ad-module templates make duplicates
-  // ubiquitous, so the distinct universe is much smaller than 3n strings.
-  Interner content;
-  Interner hosts;
-  std::vector<PacketIds> ids(n);
-  for (size_t i = 0; i < n; ++i) {
-    const HttpPacket& p = packets[i];
-    ids[i] = PacketIds{content.Intern(p.request_line),
-                       content.Intern(p.cookie), content.Intern(p.body),
-                       hosts.Intern(p.destination.host)};
-  }
+  // Per-field size tables: ad-module templates make duplicates ubiquitous,
+  // so each field's distinct universe is much smaller than n.
+  FieldSizes rline(packets, &HttpPacket::request_line);
+  FieldSizes cookie(packets, &HttpPacket::cookie);
+  FieldSizes body(packets, &HttpPacket::body);
+  FieldSizes* fields[] = {&rline, &cookie, &body};
+  SortedTable hosts(packets, [](const HttpPacket& p) -> std::string_view {
+    return p.destination.host;
+  });
 
   // Resolve the ownership oracle once per packet instead of once per pair.
   std::vector<std::optional<std::string_view>> orgs;
@@ -196,56 +279,54 @@ DistanceMatrix ComputeDistanceMatrixParallel(
     }
   }
 
-  // One parallel pass over the distinct universe for all singleton C(x);
-  // pair NCDs then go through the sharded thread-shared cache.
-  compress::NcdPairCache ncd(compressor, content.strings());
-  if (options.use_content) {
-    ncd.PrecomputeSizes(num_threads);
-  }
-
-  // Memoize NormalizedEditDistance over distinct host pairs: the condensed
-  // host matrix is the memo, filled in one parallel pass (never more work
-  // than the old per-pair evaluation, since distinct hosts <= packets).
-  const std::vector<std::string_view>& host_strings = hosts.strings();
-  const size_t num_hosts = host_strings.size();
+  // Row pass: every content-field row, then every host row (the condensed
+  // host matrix memoizes NormalizedEditDistance over distinct host pairs),
+  // claimed one at a time off an atomic cursor. Each row owns its cells and
+  // its stream, so the pass takes no lock.
+  const size_t num_hosts = hosts.strings.size();
   DistanceMatrix host_dist(num_hosts);
-  if (options.use_destination && num_hosts >= 2) {
-    std::atomic<size_t> host_cursor{0};
-    const size_t host_chunk = std::max<size_t>(1, num_hosts / 64);
-    RunWorkers(num_threads, [&] {
-      for (;;) {
-        size_t begin =
-            host_cursor.fetch_add(host_chunk, std::memory_order_relaxed);
-        if (begin + 1 >= num_hosts) return;
-        size_t end = std::min(num_hosts - 1, begin + host_chunk);
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t j = i + 1; j < num_hosts; ++j) {
-            host_dist.set(
-                i, j,
-                text::NormalizedEditDistance(host_strings[i],
-                                             host_strings[j]));
-          }
-        }
+  std::vector<std::pair<FieldSizes*, uint32_t>> content_rows;
+  if (options.use_content) {
+    for (FieldSizes* field : fields) {
+      for (uint32_t a = 0; a < field->num_strings(); ++a) {
+        content_rows.emplace_back(field, a);
       }
-    });
+    }
   }
-
-  // Pairwise loop: rows claimed in chunks off an atomic cursor, so threads
-  // whose rows are cheap (cache hits) steal more work. Writes are disjoint
-  // cells of the condensed matrix — no locking needed.
+  const size_t host_rows =
+      options.use_destination && num_hosts >= 2 ? num_hosts - 1 : 0;
   std::atomic<size_t> row_cursor{0};
+  RunWorkers(num_threads, [&] {
+    for (;;) {
+      size_t row = row_cursor.fetch_add(1, std::memory_order_relaxed);
+      if (row < content_rows.size()) {
+        content_rows[row].first->FillRow(*compressor, content_rows[row].second);
+        continue;
+      }
+      size_t i = row - content_rows.size();
+      if (i >= host_rows) return;
+      for (size_t j = i + 1; j < num_hosts; ++j) {
+        host_dist.set(i, j,
+                      text::NormalizedEditDistance(hosts.strings[i],
+                                                   hosts.strings[j]));
+      }
+    }
+  });
+
+  // Packet-pair loop: lock-free table lookups. Rows are claimed in chunks
+  // off an atomic cursor; writes are disjoint cells of the condensed matrix.
+  std::atomic<size_t> pair_cursor{0};
   const size_t row_chunk =
       std::max<size_t>(1, n / (static_cast<size_t>(num_threads) * 16));
   RunWorkers(num_threads, [&] {
     for (;;) {
-      size_t begin = row_cursor.fetch_add(row_chunk, std::memory_order_relaxed);
+      size_t begin =
+          pair_cursor.fetch_add(row_chunk, std::memory_order_relaxed);
       if (begin + 1 >= n) return;
       size_t end = std::min(n - 1, begin + row_chunk);
       for (size_t i = begin; i < end; ++i) {
-        const PacketIds& xi = ids[i];
         const net::Endpoint& ex = packets[i].destination;
         for (size_t j = i + 1; j < n; ++j) {
-          const PacketIds& xj = ids[j];
           double d = 0;
           if (options.use_destination) {
             const net::Endpoint& ey = packets[j].destination;
@@ -259,12 +340,13 @@ DistanceMatrix ComputeDistanceMatrixParallel(
             }
             double port_sim = (ex.port == ey.port) ? 1.0 : 0.0;
             d += PacketDistance::CombineDestination(
-                options, ip_sim, port_sim, host_dist.at(xi.host, xj.host));
+                options, ip_sim, port_sim,
+                host_dist.at(hosts.ids[i], hosts.ids[j]));
           }
           if (options.use_content) {
-            double d_rline = ncd.Ncd(xi.rline, xj.rline);
-            double d_cookie = ncd.Ncd(xi.cookie, xj.cookie);
-            double d_body = ncd.Ncd(xi.body, xj.body);
+            double d_rline = rline.Ncd(rline.id(i), rline.id(j));
+            double d_cookie = cookie.Ncd(cookie.id(i), cookie.id(j));
+            double d_body = body.Ncd(body.id(i), body.id(j));
             d += PacketDistance::CombineContent(options, d_rline, d_cookie,
                                                 d_body);
           }
@@ -275,16 +357,13 @@ DistanceMatrix ComputeDistanceMatrixParallel(
   });
 
   if (stats != nullptr) {
-    stats->distinct_content_strings = content.strings().size();
+    for (const FieldSizes* field : fields) {
+      stats->distinct_content_strings += field->num_strings();
+      if (options.use_content) field->AddStats(stats);
+    }
     stats->distinct_hosts = num_hosts;
-    stats->singleton_compressions =
-        options.use_content ? content.strings().size() : 0;
-    stats->ncd_pair_hits = ncd.pair_hits();
-    stats->ncd_pairs_computed = ncd.pairs_computed();
     stats->host_pairs_computed =
-        (options.use_destination && num_hosts >= 2)
-            ? static_cast<uint64_t>(num_hosts) * (num_hosts - 1) / 2
-            : 0;
+        static_cast<uint64_t>(host_rows) * (host_rows + 1) / 2;
     stats->distance_build_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - build_start)

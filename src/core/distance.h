@@ -114,14 +114,17 @@ DistanceMatrix ComputeDistanceMatrix(const std::vector<HttpPacket>& packets,
 struct DistanceMatrixStats {
   size_t packets = 0;
   size_t pairs = 0;  ///< packet pairs evaluated (n*(n-1)/2)
-  /// Distinct interned rline/cookie/body strings across the sample. The gap
-  /// between 3*packets and this is the duplication the caches exploit.
+  /// Distinct request lines + distinct cookies + distinct bodies (each
+  /// field interned on its own). The gap between 3*packets and this is the
+  /// duplication the size tables exploit.
   size_t distinct_content_strings = 0;
   size_t distinct_hosts = 0;
   /// One singleton compression per distinct content string (the C(x) pass).
   size_t singleton_compressions = 0;
-  /// Content-pair NCD probes served from the shared cache vs computed fresh
-  /// (a computation is one full compression of a pair concatenation).
+  /// Content-pair NCD probes of the packet loop (both-empty pairs aside)
+  /// that needed no compression, and the pair compressions actually done
+  /// (one per distinct pair of a field's strings). A function of the sample
+  /// alone, whatever the thread count.
   uint64_t ncd_pair_hits = 0;
   uint64_t ncd_pairs_computed = 0;
   /// Distinct host pairs whose edit distance was actually computed.
@@ -143,17 +146,18 @@ struct DistanceMatrixStats {
   }
 };
 
-/// Optimized matrix builder — the training hot path. Per-field strings are
-/// interned first (ad-module templates make duplicates ubiquitous), all
-/// singleton compressed sizes are precomputed in one parallel pass, NCD is
-/// computed once per distinct unordered string pair through a sharded
-/// thread-shared cache, and NormalizedEditDistance is memoized over distinct
-/// host pairs. Rows are claimed in chunks off an atomic cursor, so workers
-/// whose rows hit the caches steal more work. The distance is a pure
-/// symmetric function, so the result is bit-identical to the serial
-/// uncached path — asserted by tests. `num_threads` 0 = hardware
-/// concurrency; `stats`, when non-null, receives cache effectiveness
-/// counters.
+/// Optimized matrix builder — the training hot path. Each content field's
+/// strings are interned and sorted (ad-module templates make duplicates
+/// ubiquitous). Workers then claim rows: row a of a field opens one codec
+/// stream on its a-th string and sizes it, alone and followed by every
+/// later string; sorting makes that the canonical concatenation order. The
+/// sizes land in one condensed uint32 triangle per field, and
+/// NormalizedEditDistance is memoized over distinct host pairs the same
+/// way. The packet-pair loop is then lock-free lookups through
+/// NcdFromSizes. The distance is a pure symmetric function, so the result
+/// is bit-identical to the serial uncached path — asserted by tests.
+/// `num_threads` 0 = hardware concurrency; `stats`, when non-null, receives
+/// the work counters.
 DistanceMatrix ComputeDistanceMatrixParallel(
     const std::vector<HttpPacket>& packets, const compress::Compressor* compressor,
     const DistanceOptions& options, unsigned num_threads = 0,

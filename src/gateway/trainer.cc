@@ -43,6 +43,7 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
       metrics->GetCounter("trainer.ncd_pairs_computed", labels);
   singleton_compressions_ =
       metrics->GetCounter("trainer.singleton_compressions", labels);
+  archive_bytes_ = metrics->GetGauge("trainer.archive_bytes", labels);
   retrain_ns_ = metrics->GetHistogram("trainer.retrain_ns", labels);
   compile_ns_ = metrics->GetHistogram("trainer.compile_ns", labels);
   stage_distance_ns_ =
@@ -75,9 +76,13 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
         auto compiled =
             std::make_shared<const match::CompiledSignatureSet>(set, version);
         compile_ns_->Observe(ElapsedNs(clock_, compile_start));
+        std::string feed = set.Serialize();
         {
           std::lock_guard<std::mutex> lock(archive_mu_);
-          archive_[version] = ArchivedEpoch{set, compiled};
+          ArchivedEpoch& epoch = archive_[version];
+          archive_bytes_->Add(static_cast<int64_t>(feed.size()) -
+                              static_cast<int64_t>(epoch.feed.size()));
+          epoch = ArchivedEpoch{std::move(feed), compiled};
         }
         if (options_.tenant.empty()) {
           gateway_->Publish(std::move(compiled));
@@ -119,16 +124,19 @@ DetectionGateway::PacketSink TrainerLoop::Sink() {
 
 std::shared_ptr<const match::CompiledSignatureSet> TrainerLoop::SetForVersion(
     uint64_t version) const {
-  match::SignatureSet set;
+  std::string feed;
   {
     std::lock_guard<std::mutex> lock(archive_mu_);
     auto it = archive_.find(version);
     if (it == archive_.end()) return nullptr;
     if (auto live = it->second.compiled.lock()) return live;
-    set = it->second.set;
+    feed = it->second.feed;
   }
+  // The feed is SignatureSet::Serialize output, which always parses back.
+  StatusOr<match::SignatureSet> set = match::SignatureSet::Deserialize(feed);
+  if (!set.ok()) return nullptr;
   auto rebuilt =
-      std::make_shared<const match::CompiledSignatureSet>(std::move(set),
+      std::make_shared<const match::CompiledSignatureSet>(std::move(*set),
                                                           version);
   std::lock_guard<std::mutex> lock(archive_mu_);
   // Another caller may have rebuilt it meanwhile; hand out one object.
@@ -201,8 +209,8 @@ void TrainerLoop::Train(const core::HttpPacket& packet,
   // observer has already compiled + published the new epoch).
   retrain_ns_->Observe(ElapsedNs(clock_, ingest_start));
   retrains_->Inc();
-  // Accumulate the distance-matrix cache effectiveness of that retrain
-  // so operators can see how well the shared NCD pair cache is working.
+  // Accumulate the distance-matrix work of that retrain: pair
+  // compressions done vs packet-pair probes the size tables answered.
   const core::DistanceMatrixStats& stats = server_->last_distance_stats();
   ncd_pair_hits_->Inc(stats.ncd_pair_hits);
   ncd_pairs_computed_->Inc(stats.ncd_pairs_computed);

@@ -63,10 +63,11 @@ struct TrainerOptions {
 ///
 /// Every published epoch is archived by version, so replay tooling (the
 /// loadgen's --verify pass) can rebuild the exact matcher any verdict was
-/// produced under. The archive keeps each epoch's SignatureSet (KBs), not
-/// its compiled matcher (MBs): a compiled epoch lives only as long as
-/// someone (the gateway, a shard, a verifier) holds it, and SetForVersion
-/// recompiles a released one on demand.
+/// produced under. The archive keeps each epoch's serialized feed (the
+/// ~13 KB the feed server ships), not its compiled matcher (MBs): a compiled
+/// epoch lives only as long as someone (the gateway, a shard, a verifier)
+/// holds it, and SetForVersion deserializes and recompiles a released one
+/// on demand. The trainer.archive_bytes gauge is the feeds' total size.
 class TrainerLoop {
  public:
   /// `server` and `gateway` must outlive the trainer. Not owned. The trainer
@@ -94,8 +95,8 @@ class TrainerLoop {
 
   /// The compiled epoch for `version` (null if never published): the live
   /// object while anyone still holds it, else a fresh compile of the
-  /// archived set, identical to the one first published. Thread-safe; a
-  /// recompile runs outside the archive lock.
+  /// archived feed, identical to the one first published. Thread-safe; a
+  /// rebuild runs outside the archive lock.
   std::shared_ptr<const match::CompiledSignatureSet> SetForVersion(
       uint64_t version) const;
 
@@ -145,10 +146,10 @@ class TrainerLoop {
   std::atomic<uint64_t> feeds_published_{0};
   std::atomic<uint64_t> items_processed_{0};
 
-  /// One published epoch: its signature set, and its compiled matcher for
+  /// One published epoch: its serialized feed, and its compiled matcher for
   /// as long as anyone else holds it.
   struct ArchivedEpoch {
-    match::SignatureSet set;
+    std::string feed;
     std::weak_ptr<const match::CompiledSignatureSet> compiled;
   };
   mutable std::mutex archive_mu_;
@@ -164,6 +165,7 @@ class TrainerLoop {
   Counter* ncd_pair_hits_ = nullptr;
   Counter* ncd_pairs_computed_ = nullptr;
   Counter* singleton_compressions_ = nullptr;
+  Gauge* archive_bytes_ = nullptr;
   Histogram* retrain_ns_ = nullptr;
   Histogram* compile_ns_ = nullptr;
   // Per-stage retrain breakdown, taken from the DistanceMatrixStats the

@@ -1,82 +1,108 @@
 #include "match/aho_corasick.h"
 
-#include <deque>
+#include <algorithm>
+#include <map>
 
 namespace leakdet::match {
 
-AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns) {
-  nodes_.emplace_back();  // root
-  num_patterns_ = patterns.size();
+AhoCorasick::AhoCorasick(const std::vector<std::string>& patterns)
+    : num_patterns_(patterns.size()) {
+  // Build the trie with per-node maps, then freeze it into the flat arrays.
+  std::vector<std::map<uint8_t, int32_t>> next(1);  // root
+  std::vector<std::vector<uint32_t>> out(1);
   for (uint32_t id = 0; id < patterns.size(); ++id) {
     const std::string& p = patterns[id];
     if (p.empty()) continue;
     int32_t cur = 0;
     for (char ch : p) {
-      uint8_t c = static_cast<uint8_t>(ch);
-      auto it = nodes_[static_cast<size_t>(cur)].next.find(c);
-      if (it == nodes_[static_cast<size_t>(cur)].next.end()) {
-        nodes_.emplace_back();
-        int32_t nxt = static_cast<int32_t>(nodes_.size() - 1);
-        nodes_[static_cast<size_t>(cur)].next.emplace(c, nxt);
-        cur = nxt;
-      } else {
-        cur = it->second;
+      auto [it, inserted] = next[static_cast<size_t>(cur)].try_emplace(
+          static_cast<uint8_t>(ch), static_cast<int32_t>(next.size()));
+      cur = it->second;
+      if (inserted) {
+        next.emplace_back();
+        out.emplace_back();
       }
     }
-    nodes_[static_cast<size_t>(cur)].out.push_back(id);
+    out[static_cast<size_t>(cur)].push_back(id);
   }
-  BuildFailureLinks();
-}
 
-void AhoCorasick::BuildFailureLinks() {
-  std::deque<int32_t> queue;
-  for (auto& [c, child] : nodes_[0].next) {
-    nodes_[static_cast<size_t>(child)].fail = 0;
-    queue.push_back(child);
+  const size_t n = next.size();
+  edge_begin_.reserve(n + 1);
+  out_begin_.reserve(n + 1);
+  edge_begin_.push_back(0);
+  out_begin_.push_back(0);
+  for (size_t u = 0; u < n; ++u) {
+    for (auto [c, child] : next[u]) {
+      edge_label_.push_back(c);
+      edge_child_.push_back(child);
+    }
+    edge_begin_.push_back(static_cast<uint32_t>(edge_label_.size()));
+    out_.insert(out_.end(), out[u].begin(), out[u].end());
+    out_begin_.push_back(static_cast<uint32_t>(out_.size()));
   }
-  while (!queue.empty()) {
-    int32_t u = queue.front();
-    queue.pop_front();
-    Node& nu = nodes_[static_cast<size_t>(u)];
-    // Report link: nearest fail-ancestor with output.
-    int32_t f = nu.fail;
-    const Node& nf = nodes_[static_cast<size_t>(f)];
-    nu.report = nf.out.empty() ? nf.report : f;
-    for (auto& [c, v] : nu.next) {
-      // Find the fail target for child v.
-      int32_t f2 = nu.fail;
-      while (f2 != 0 && !nodes_[static_cast<size_t>(f2)].next.count(c)) {
-        f2 = nodes_[static_cast<size_t>(f2)].fail;
-      }
-      auto it = nodes_[static_cast<size_t>(f2)].next.find(c);
-      int32_t target =
-          (it != nodes_[static_cast<size_t>(f2)].next.end() && it->second != v)
-              ? it->second
-              : 0;
-      nodes_[static_cast<size_t>(v)].fail = target;
+  for (auto [c, child] : next[0]) root_next_[c] = child;
+
+  // Failure and report links in BFS order: a node's fail target is
+  // shallower, so its own links are final by the time they are read.
+  fail_.assign(n, 0);
+  report_.assign(n, -1);
+  std::vector<int32_t> queue(edge_child_.begin(),
+                             edge_child_.begin() + edge_begin_[1]);
+  queue.reserve(n);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const int32_t u = queue[head];
+    const int32_t f = fail_[static_cast<size_t>(u)];
+    report_[static_cast<size_t>(u)] =
+        HasOutput(f) ? f : report_[static_cast<size_t>(f)];
+    for (uint32_t e = edge_begin_[static_cast<size_t>(u)];
+         e < edge_begin_[static_cast<size_t>(u) + 1]; ++e) {
+      const int32_t v = edge_child_[e];
+      fail_[static_cast<size_t>(v)] = Step(f, edge_label_[e]);
       queue.push_back(v);
     }
   }
 }
 
+int32_t AhoCorasick::Child(int32_t state, uint8_t c) const {
+  const uint8_t* begin =
+      edge_label_.data() + edge_begin_[static_cast<size_t>(state)];
+  const uint8_t* end =
+      edge_label_.data() + edge_begin_[static_cast<size_t>(state) + 1];
+  const uint8_t* it = std::lower_bound(begin, end, c);
+  return it != end && *it == c ? edge_child_[it - edge_label_.data()] : -1;
+}
+
 int32_t AhoCorasick::Step(int32_t state, uint8_t c) const {
-  while (true) {
-    auto it = nodes_[static_cast<size_t>(state)].next.find(c);
-    if (it != nodes_[static_cast<size_t>(state)].next.end()) {
-      return it->second;
-    }
-    if (state == 0) return 0;
-    state = nodes_[static_cast<size_t>(state)].fail;
+  while (state != 0) {
+    int32_t child = Child(state, c);
+    if (child >= 0) return child;
+    state = fail_[static_cast<size_t>(state)];
   }
+  return root_next_[c];
 }
 
 std::vector<uint32_t> AhoCorasick::OutputClosure(int32_t state) const {
   std::vector<uint32_t> out;
-  for (int32_t r = state; r != -1; r = nodes_[static_cast<size_t>(r)].report) {
-    const Node& n = nodes_[static_cast<size_t>(r)];
-    out.insert(out.end(), n.out.begin(), n.out.end());
-  }
+  ForEachOutput(state, [&out](uint32_t id) { out.push_back(id); });
   return out;
+}
+
+std::vector<int32_t> AhoCorasick::DenseTransitions() const {
+  std::vector<int32_t> table(num_nodes() * 256);
+  std::copy(root_next_.begin(), root_next_.end(), table.begin());
+  std::vector<int32_t> queue(edge_child_.begin(),
+                             edge_child_.begin() + edge_begin_[1]);
+  queue.reserve(num_nodes());
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const size_t u = static_cast<size_t>(queue[head]);
+    int32_t* row = table.data() + u * 256;
+    std::copy_n(table.data() + static_cast<size_t>(fail_[u]) * 256, 256, row);
+    for (uint32_t e = edge_begin_[u]; e < edge_begin_[u + 1]; ++e) {
+      row[edge_label_[e]] = edge_child_[e];
+      queue.push_back(edge_child_[e]);
+    }
+  }
+  return table;
 }
 
 std::vector<AhoCorasick::Match> AhoCorasick::FindAll(
@@ -85,12 +111,9 @@ std::vector<AhoCorasick::Match> AhoCorasick::FindAll(
   int32_t state = 0;
   for (size_t i = 0; i < text.size(); ++i) {
     state = Step(state, static_cast<uint8_t>(text[i]));
-    for (int32_t r = state; r != -1;
-         r = nodes_[static_cast<size_t>(r)].report) {
-      for (uint32_t id : nodes_[static_cast<size_t>(r)].out) {
-        matches.push_back(Match{id, i + 1});
-      }
-    }
+    ForEachOutput(state, [&matches, i](uint32_t id) {
+      matches.push_back(Match{id, i + 1});
+    });
   }
   return matches;
 }
@@ -100,12 +123,7 @@ void AhoCorasick::MarkPresent(std::string_view text,
   int32_t state = 0;
   for (char ch : text) {
     state = Step(state, static_cast<uint8_t>(ch));
-    for (int32_t r = state; r != -1;
-         r = nodes_[static_cast<size_t>(r)].report) {
-      for (uint32_t id : nodes_[static_cast<size_t>(r)].out) {
-        (*seen)[id] = true;
-      }
-    }
+    ForEachOutput(state, [seen](uint32_t id) { (*seen)[id] = true; });
   }
 }
 
@@ -113,8 +131,9 @@ bool AhoCorasick::AnyMatch(std::string_view text) const {
   int32_t state = 0;
   for (char ch : text) {
     state = Step(state, static_cast<uint8_t>(ch));
-    const Node& n = nodes_[static_cast<size_t>(state)];
-    if (!n.out.empty() || n.report != -1) return true;
+    if (HasOutput(state) || report_[static_cast<size_t>(state)] != -1) {
+      return true;
+    }
   }
   return false;
 }

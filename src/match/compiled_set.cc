@@ -19,16 +19,11 @@ CompiledSignatureSet::CompiledSignatureSet(SignatureSet set, uint64_t version)
   if (automaton == nullptr || num_tokens_ == 0) return;
 
   num_states_ = automaton->num_nodes();
-  next_.resize(num_states_ * 256);
+  next_ = automaton->DenseTransitions();
   out_begin_.reserve(num_states_ + 1);
   out_begin_.push_back(0);
   for (size_t s = 0; s < num_states_; ++s) {
-    int32_t state = static_cast<int32_t>(s);
-    for (int c = 0; c < 256; ++c) {
-      next_[s * 256 + static_cast<size_t>(c)] =
-          automaton->Step(state, static_cast<uint8_t>(c));
-    }
-    for (uint32_t id : automaton->OutputClosure(state)) {
+    for (uint32_t id : automaton->OutputClosure(static_cast<int32_t>(s))) {
       out_patterns_.push_back(id);
     }
     out_begin_.push_back(static_cast<uint32_t>(out_patterns_.size()));

@@ -33,12 +33,12 @@ enum class PrefilterOutcome : uint8_t {
 /// CompiledSignatureSet> from an atomic slot, finish matching on that epoch,
 /// and the old epoch is reclaimed when the last in-flight match drops it.
 ///
-/// "Compiled" is literal: the node/byte-map Aho–Corasick automaton of the
-/// source set is flattened into a dense DFA transition table
-/// (`num_states x 256` int32) with failure links resolved and per-state
-/// output closures precomputed in CSR form. Scanning a packet is then one
-/// table load per byte — no map lookups, no failure-chain walking — which is
-/// what makes inline detection at 100k+ packets/s per core feasible.
+/// "Compiled" is literal: the CSR trie Aho–Corasick automaton of the source
+/// set is flattened into a dense DFA transition table (`num_states x 256`
+/// int32, filled by row inheritance) with failure links resolved and
+/// per-state output closures precomputed in CSR form. Scanning a packet is
+/// then one table load per byte — no edge search, no failure-chain walking —
+/// which is what makes inline detection at 100k+ packets/s per core feasible.
 ///
 /// Thread safety: all methods are const and touch only immutable state plus
 /// the caller-owned scratch, so one instance may be shared by any number of

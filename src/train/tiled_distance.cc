@@ -124,8 +124,8 @@ class CachedNcd {
       return cached;
     }
     ++stats_->cache_singleton_misses;
-    // One absorption yields both C(x) and the frozen state pair
-    // compressions resume from (exactly the NcdPairCache trick).
+    // One absorption yields both C(x) and the stream pair compressions
+    // resume from (as in the core matrix builder's row pass).
     streams_[id] = compressor_->NewStream(strings_[id]);
     size_t size = streams_[id] != nullptr
                       ? streams_[id]->SizeWithSuffix({})

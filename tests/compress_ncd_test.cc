@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -111,38 +114,58 @@ TEST_P(NcdTest, CacheCountersTrackHitsAndMisses) {
   EXPECT_EQ(ncd_->cache_hits(), 2u);
 }
 
+// Sizes built the way the matrix builder builds them: the universe is
+// sorted, row x resumes from one stream on its string (or materializes the
+// pair where the codec has no streams), and the NCD comes from the sizes.
+std::vector<std::vector<size_t>> RowSizedPairs(
+    const Compressor& compressor, const std::vector<std::string>& sorted) {
+  std::vector<std::vector<size_t>> pair(sorted.size(),
+                                        std::vector<size_t>(sorted.size()));
+  for (size_t x = 0; x < sorted.size(); ++x) {
+    std::unique_ptr<Compressor::Stream> stream =
+        compressor.NewStream(sorted[x]);
+    for (size_t y = x; y < sorted.size(); ++y) {
+      pair[x][y] = pair[y][x] =
+          stream != nullptr
+              ? stream->SizeWithSuffix(sorted[y])
+              : CanonicalPairCompressedSize(compressor, sorted[x], sorted[y]);
+    }
+  }
+  return pair;
+}
+
 TEST_P(NcdTest, PairCacheMatchesCalculatorExactly) {
   Rng rng(17);
   std::vector<std::string> universe;
   for (int i = 0; i < 12; ++i) {
     universe.push_back(rng.RandomString(20 + rng.UniformInt(120), "abcq&=/"));
   }
-  std::vector<std::string_view> views(universe.begin(), universe.end());
-  NcdPairCache cache(compressor_.get(), views);
-  cache.PrecomputeSizes(2);
-  for (uint32_t x = 0; x < views.size(); ++x) {
-    for (uint32_t y = 0; y < views.size(); ++y) {
-      EXPECT_DOUBLE_EQ(cache.Ncd(x, y), ncd_->Ncd(universe[x], universe[y]))
+  std::sort(universe.begin(), universe.end());
+  std::vector<std::vector<size_t>> pair =
+      RowSizedPairs(*compressor_, universe);
+  for (uint32_t x = 0; x < universe.size(); ++x) {
+    for (uint32_t y = 0; y < universe.size(); ++y) {
+      double from_sizes = NcdFromSizes(
+          compressor_->CompressedSize(universe[x]),
+          compressor_->CompressedSize(universe[y]), pair[x][y]);
+      EXPECT_EQ(from_sizes, ncd_->Ncd(universe[x], universe[y]))
           << "x=" << x << " y=" << y;
     }
   }
 }
 
 TEST_P(NcdTest, PairCacheServesBothOrdersFromOneEntry) {
+  // Sorted, the smaller string is the prefix of the canonical
+  // concatenation, so the one entry a row stores is correct for both orders.
   std::vector<std::string> universe = {"GET /ads?id=1 HTTP/1.1",
                                        "GET /ads?id=2 HTTP/1.1"};
-  std::vector<std::string_view> views(universe.begin(), universe.end());
-  NcdPairCache cache(compressor_.get(), views);
-  cache.PrecomputeSizes(1);
-  double forward = cache.Ncd(0, 1);
-  EXPECT_EQ(cache.pairs_computed(), 1u);
-  EXPECT_EQ(cache.pair_hits(), 0u);
-  double backward = cache.Ncd(1, 0);
-  // The (min_id, max_id) canonical key means the reverse order is a cache
-  // hit, and symmetry means the shared value is correct for both orders.
-  EXPECT_EQ(cache.pairs_computed(), 1u);
-  EXPECT_EQ(cache.pair_hits(), 1u);
-  EXPECT_DOUBLE_EQ(forward, backward);
+  std::vector<std::vector<size_t>> pair =
+      RowSizedPairs(*compressor_, universe);
+  const std::string& x = universe[0];
+  const std::string& y = universe[1];
+  EXPECT_EQ(pair[0][1], CanonicalPairCompressedSize(*compressor_, x, y));
+  EXPECT_EQ(pair[0][1], CanonicalPairCompressedSize(*compressor_, y, x));
+  EXPECT_EQ(ncd_->Ncd(x, y), ncd_->Ncd(y, x));
 }
 
 TEST_P(NcdTest, BothEmptyIsZero) {
@@ -167,6 +190,68 @@ TEST_P(NcdTest, CacheMemoizesSingles) {
 
 INSTANTIATE_TEST_SUITE_P(Compressors, NcdTest,
                          ::testing::Values("lz77h", "lzw", "entropy"));
+
+// ---------------------------------------------------------------------------
+// LZW stream resumption: every SizeWithSuffix is sized against the prefix
+// alone, however many calls came before it and in whatever order.
+
+std::string RandomBytes(Rng* rng, size_t length) {
+  std::string s;
+  for (size_t i = 0; i < length; ++i) {
+    s += static_cast<char>(rng->UniformInt(256));
+  }
+  return s;
+}
+
+TEST(LzwStreamTest, RandomSuffixSequencesMatchCompressedSize) {
+  LzwCompressor lzw;
+  Rng rng(29);
+  const std::string http =
+      "GET /gampad/ads?app_id=k1&sdk=2.1.3&dc_uid=900150983cd24fb0 HTTP/1.1";
+  const std::vector<std::string> prefixes = {
+      "", "a", http, rng.RandomString(300, "ab&="), RandomBytes(&rng, 500)};
+  for (const std::string& prefix : prefixes) {
+    SCOPED_TRACE("prefix length " + std::to_string(prefix.size()));
+    std::vector<std::string> suffixes = {
+        "", "a", prefix, prefix + prefix, http, std::string("\0\xff\0", 3),
+        std::string(700, '\xff')};
+    for (int i = 0; i < 12; ++i) {
+      suffixes.push_back(rng.RandomString(rng.UniformInt(400), "ab&=/"));
+      suffixes.push_back(RandomBytes(&rng, rng.UniformInt(300)));
+    }
+    std::unique_ptr<Compressor::Stream> stream = lzw.NewStream(prefix);
+    ASSERT_NE(stream, nullptr);
+    for (int call = 0; call < 300; ++call) {
+      const std::string& suffix = suffixes[rng.UniformInt(suffixes.size())];
+      ASSERT_EQ(stream->SizeWithSuffix(suffix),
+                lzw.CompressedSize(prefix + suffix))
+          << "call " << call << " suffix length " << suffix.size();
+    }
+  }
+}
+
+TEST(LzwStreamTest, SuffixPastTheCodeFreezeThenReuse) {
+  // Random bytes mint a code every 1.1-1.4 bytes: the dictionary fills at
+  // about 90 kB, so 50 kB + 50 kB crosses the 65,536-code freeze inside the
+  // suffix, and a 120 kB prefix freezes on its own.
+  LzwCompressor lzw;
+  Rng rng(31);
+  const std::string short_suffix = rng.RandomString(200, "xyz");
+  const std::string long_suffix = RandomBytes(&rng, 50000);
+  for (size_t prefix_length : {50000u, 120000u}) {
+    const std::string prefix = RandomBytes(&rng, prefix_length);
+    std::unique_ptr<Compressor::Stream> stream = lzw.NewStream(prefix);
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("prefix " + std::to_string(prefix_length) + " round " +
+                   std::to_string(round));
+      EXPECT_EQ(stream->SizeWithSuffix(short_suffix),
+                lzw.CompressedSize(prefix + short_suffix));
+      EXPECT_EQ(stream->SizeWithSuffix(long_suffix),
+                lzw.CompressedSize(prefix + long_suffix));
+      EXPECT_EQ(stream->SizeWithSuffix(""), lzw.CompressedSize(prefix));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace leakdet::compress

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "compress/compressor.h"
+#include "net/org_registry.h"
+#include "sim/trafficgen.h"
 #include "util/rng.h"
 
 namespace leakdet::core {
@@ -233,6 +238,113 @@ TEST_F(DistanceTest, ComputeDistanceMatrixMatchesMetric) {
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = i + 1; j < 3; ++j) {
       EXPECT_DOUBLE_EQ(m.at(i, j), metric.Distance(packets[i], packets[j]));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The optimized builder against the serial oracle, and its counters.
+
+// Simulated ad traffic: request lines, cookies and bodies repeat across
+// packets the way they do in a real training sample.
+std::vector<HttpPacket> TracePackets(size_t n) {
+  static const std::vector<HttpPacket>* all = [] {
+    sim::TrafficConfig config;
+    config.seed = 808;
+    config.scale = 0.05;
+    return new std::vector<HttpPacket>(sim::GenerateTrace(config).RawPackets());
+  }();
+  return std::vector<HttpPacket>(all->begin(),
+                                 all->begin() + std::min(n, all->size()));
+}
+
+void ExpectMatchesSerialOracle(const std::vector<HttpPacket>& packets,
+                               const char* codec,
+                               const DistanceOptions& options) {
+  auto compressor = compress::MakeCompressor(codec);
+  ASSERT_TRUE(compressor.ok());
+  compress::NcdCalculator ncd(compressor->get());
+  PacketDistance metric(&ncd, options);
+  DistanceMatrix oracle = ComputeDistanceMatrix(packets, metric);
+  for (unsigned threads : {1u, 3u}) {
+    DistanceMatrix fast = ComputeDistanceMatrixParallel(
+        packets, compressor->get(), options, threads);
+    ASSERT_EQ(fast.size(), packets.size());
+    for (size_t i = 0; i < packets.size(); ++i) {
+      for (size_t j = i + 1; j < packets.size(); ++j) {
+        ASSERT_EQ(fast.at(i, j), oracle.at(i, j))
+            << codec << " threads=" << threads << " i=" << i << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(ParallelMatrixOracleTest, EveryCodecAndOptionSet) {
+  std::vector<HttpPacket> packets = TracePackets(48);
+  net::OrgRegistry registry;
+  registry.Add(*net::CidrPrefix::Parse("10.0.0.0/8"), "alpha-ads");
+  registry.Add(*net::CidrPrefix::Parse("172.16.0.0/12"), "beta-analytics");
+  DistanceOptions no_destination;
+  no_destination.use_destination = false;
+  DistanceOptions no_content;
+  no_content.use_content = false;
+  DistanceOptions with_registry;
+  with_registry.org_registry = &registry;
+  for (const char* codec : {"lzw", "lz77h", "entropy"}) {
+    for (const DistanceOptions& options :
+         {DistanceOptions{}, no_destination, no_content, with_registry}) {
+      ExpectMatchesSerialOracle(packets, codec, options);
+    }
+  }
+}
+
+TEST(ParallelMatrixOracleTest, AllEmptyCookiesAndBodies) {
+  std::vector<HttpPacket> packets = TracePackets(40);
+  for (HttpPacket& p : packets) {
+    p.cookie.clear();
+    p.body.clear();
+  }
+  for (const char* codec : {"lzw", "lz77h", "entropy"}) {
+    ExpectMatchesSerialOracle(packets, codec, DistanceOptions{});
+  }
+}
+
+TEST(ParallelMatrixOracleTest, HeavyDuplication) {
+  // Five distinct packets, each repeated eight times and interleaved, so
+  // every field string occurs many times (the diagonal C(ss) entries).
+  std::vector<HttpPacket> distinct = TracePackets(5);
+  std::vector<HttpPacket> packets;
+  for (int copy = 0; copy < 8; ++copy) {
+    packets.insert(packets.end(), distinct.begin(), distinct.end());
+  }
+  // One field shared across fields: the same bytes as a cookie and a body.
+  packets[3].cookie = packets[4].body = "uid=" + std::string(40, '7');
+  for (const char* codec : {"lzw", "lz77h", "entropy"}) {
+    ExpectMatchesSerialOracle(packets, codec, DistanceOptions{});
+  }
+}
+
+// The counters describe the work, not the schedule: one pair compression
+// per distinct pair, whichever thread claims it. Repeated because a
+// schedule-dependent count shows only on some interleavings.
+TEST(ParallelMatrixStatsTest, CountersIndependentOfThreadCount) {
+  std::vector<HttpPacket> packets = TracePackets(150);
+  compress::LzwCompressor compressor;
+  DistanceMatrixStats serial;
+  ComputeDistanceMatrixParallel(packets, &compressor, DistanceOptions{}, 1,
+                                &serial);
+  ASSERT_GT(serial.ncd_pairs_computed, 0u);
+  ASSERT_GT(serial.ncd_pair_hits, 0u);
+  for (int round = 0; round < 25; ++round) {
+    for (unsigned threads : {2u, 4u, 8u}) {
+      DistanceMatrixStats stats;
+      ComputeDistanceMatrixParallel(packets, &compressor, DistanceOptions{},
+                                    threads, &stats);
+      ASSERT_EQ(stats.ncd_pairs_computed, serial.ncd_pairs_computed)
+          << "round=" << round << " threads=" << threads;
+      ASSERT_EQ(stats.ncd_pair_hits, serial.ncd_pair_hits)
+          << "round=" << round << " threads=" << threads;
+      ASSERT_EQ(stats.singleton_compressions, serial.singleton_compressions);
     }
   }
 }

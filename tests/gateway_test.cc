@@ -308,7 +308,47 @@ EpochImage ImageOf(const std::shared_ptr<const CompiledSignatureSet>& set,
   return image;
 }
 
-// The trainer's epoch archive keeps every version's signature set, not its
+// The archive's footprint per epoch is its serialized feed (~KBs), not a
+// SignatureSet with its automaton: the gauge grows by at most the feed
+// published plus a small constant, and every epoch still rebuilds.
+TEST(TrainerArchiveTest, ArchiveGrowsByTheSerializedFeedPerEpoch) {
+  sim::TrafficConfig config;
+  config.seed = 34;
+  config.scale = 0.03;
+  sim::Trace trace = sim::GenerateTrace(config);
+  core::PayloadCheck oracle({trace.device.ToTokens()});
+  core::SignatureServer::Options options;
+  options.retrain_after = 1u << 30;  // retrains only when the test asks
+  options.pipeline.sample_size = 40;
+  options.pipeline.normal_corpus_size = 100;
+  options.pipeline.num_threads = 1;
+  core::SignatureServer server(&oracle, options);
+  DetectionGateway gateway(GatewayOptions{});
+  TrainerLoop trainer(&server, &gateway, TrainerOptions{});
+  for (const sim::LabeledPacket& lp : trace.packets) server.Ingest(lp.packet);
+  Gauge* archive_bytes = gateway.metrics()->GetGauge("trainer.archive_bytes");
+  EXPECT_EQ(archive_bytes->Value(), 0);
+
+  constexpr uint64_t kEpochs = 4;
+  constexpr int64_t kPerEpochSlack = 64;
+  for (uint64_t v = 1; v <= kEpochs; ++v) {
+    const int64_t before = archive_bytes->Value();
+    ASSERT_TRUE(server.Retrain());
+    const int64_t feed_size =
+        static_cast<int64_t>(gateway.current_set()->set().Serialize().size());
+    ASSERT_GT(gateway.current_set()->num_signatures(), 0u);
+    const int64_t growth = archive_bytes->Value() - before;
+    EXPECT_GT(growth, 0) << "version " << v;
+    EXPECT_LE(growth, feed_size + kPerEpochSlack) << "version " << v;
+  }
+  for (uint64_t v = 1; v <= kEpochs; ++v) {
+    std::shared_ptr<const CompiledSignatureSet> got = trainer.SetForVersion(v);
+    ASSERT_NE(got, nullptr) << "version " << v;
+    EXPECT_EQ(got->version(), v);
+  }
+}
+
+// The trainer's epoch archive keeps every version's serialized feed, not its
 // compiled matcher: once the gateway moves on and nobody else holds an old
 // epoch, it is freed, and SetForVersion rebuilds an identical one on demand.
 TEST(TrainerArchiveTest, SetForVersionRebuildsEveryPublishedEpoch) {

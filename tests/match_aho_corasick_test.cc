@@ -135,5 +135,50 @@ TEST(AhoCorasickTest, ManyPatternsScale) {
   EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 2);
 }
 
+// The flat automaton against a naive substring oracle on random pattern
+// sets: duplicates, empty patterns, overlaps, the bytes 0x00 and 0xFF, and
+// alphabets wide enough that nodes have more edges than the short linear
+// scan covers.
+TEST(AhoCorasickTest, CsrAutomatonMatchesNaiveOracle) {
+  Rng rng(41);
+  const std::string binary("ab\0\xff", 4);
+  const std::string wide = "abcdefghijklmnopqrstu=&" + binary;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::string& alphabet = trial % 2 == 0 ? binary : wide;
+    std::vector<std::string> patterns;
+    size_t np = 1 + rng.UniformInt(30);
+    for (size_t i = 0; i < np; ++i) {
+      if (rng.Bernoulli(0.1)) {
+        patterns.push_back("");
+      } else if (!patterns.empty() && rng.Bernoulli(0.15)) {
+        patterns.push_back(patterns[rng.UniformInt(patterns.size())]);
+      } else {
+        patterns.push_back(rng.RandomString(1 + rng.UniformInt(6), alphabet));
+      }
+    }
+    AhoCorasick ac(patterns);
+    for (int probe = 0; probe < 10; ++probe) {
+      std::string text = rng.RandomString(rng.UniformInt(120), alphabet);
+      std::multiset<std::pair<uint32_t, size_t>> expected;
+      std::vector<bool> expected_seen(patterns.size(), false);
+      for (uint32_t p = 0; p < patterns.size(); ++p) {
+        if (patterns[p].empty()) continue;
+        for (size_t pos = text.find(patterns[p]); pos != std::string::npos;
+             pos = text.find(patterns[p], pos + 1)) {
+          expected.insert({p, pos + patterns[p].size()});
+          expected_seen[p] = true;
+        }
+      }
+      std::multiset<std::pair<uint32_t, size_t>> got;
+      for (auto m : ac.FindAll(text)) got.insert({m.pattern, m.end});
+      EXPECT_EQ(got, expected) << "trial " << trial << " probe " << probe;
+      std::vector<bool> seen(patterns.size(), false);
+      ac.MarkPresent(text, &seen);
+      EXPECT_EQ(seen, expected_seen) << "trial " << trial;
+      EXPECT_EQ(ac.AnyMatch(text), !expected.empty()) << "trial " << trial;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace leakdet::match

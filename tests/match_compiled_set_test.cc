@@ -111,5 +111,63 @@ TEST(CompiledSignatureSetTest, ReportsCompilationStats) {
   EXPECT_GT(compiled.table_bytes(), compiled.num_states() * 256 * 4 - 1);
 }
 
+// Every entry of the row-inherited table against the fail-chain walk.
+TEST(CompiledSignatureSetTest, EveryTableEntryEqualsStep) {
+  Rng rng(103);
+  const std::string binary("ab\0\xff", 4);
+  const std::string wide = "abcdefghijklmnopqrstu=&" + binary;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<ConjunctionSignature> sigs;
+    size_t num_sigs = 1 + rng.UniformInt(10);
+    for (size_t s = 0; s < num_sigs; ++s) {
+      std::vector<std::string> tokens;
+      size_t num_tokens = 1 + rng.UniformInt(4);
+      for (size_t t = 0; t < num_tokens; ++t) {
+        tokens.push_back(rng.RandomString(1 + rng.UniformInt(7),
+                                          trial % 2 == 0 ? binary : wide));
+      }
+      sigs.push_back(Sig("sig-" + std::to_string(s), std::move(tokens)));
+    }
+    SignatureSet set(sigs);
+    const AhoCorasick& automaton = *set.automaton();
+    std::vector<int32_t> table = automaton.DenseTransitions();
+    ASSERT_EQ(table.size(), automaton.num_nodes() * 256);
+    for (size_t u = 0; u < automaton.num_nodes(); ++u) {
+      for (int c = 0; c < 256; ++c) {
+        ASSERT_EQ(table[u * 256 + static_cast<size_t>(c)],
+                  automaton.Step(static_cast<int32_t>(u),
+                                 static_cast<uint8_t>(c)))
+            << "trial " << trial << " state " << u << " byte " << c;
+      }
+    }
+    CompiledSignatureSet compiled{set, 1};
+    EXPECT_EQ(compiled.num_states(), automaton.num_nodes());
+  }
+}
+
+// A fixed feed's compiled footprint and transition function, pinned: a
+// change of trie layout or table construction must not change either.
+TEST(CompiledSignatureSetTest, PinnedFootprintOfFixedFeed) {
+  SignatureSet set({Sig("sig-0", {"imei=", "udid=3520"}),
+                    Sig("sig-1", {"android_id=", "imei="}, "ads.example"),
+                    Sig("sig-2", {"GET /gampad/ads?", "dc_uid="}),
+                    Sig("sig-3", {"carrier=docomo", "model=NexusS"}),
+                    Sig("sig-4", {"id=", "uid=", "d="})});
+  CompiledSignatureSet compiled{set, 1};
+  EXPECT_EQ(compiled.num_states(), 81u);
+  EXPECT_EQ(compiled.table_bytes(), 83352u);
+  // FNV-1a over Step(s, c) for every state and byte, in table order.
+  uint64_t digest = 0xcbf29ce484222325u;
+  const AhoCorasick& automaton = *set.automaton();
+  for (size_t u = 0; u < automaton.num_nodes(); ++u) {
+    for (int c = 0; c < 256; ++c) {
+      digest ^= static_cast<uint32_t>(
+          automaton.Step(static_cast<int32_t>(u), static_cast<uint8_t>(c)));
+      digest *= 0x100000001b3u;
+    }
+  }
+  EXPECT_EQ(digest, uint64_t{5400404328918103691u});
+}
+
 }  // namespace
 }  // namespace leakdet::match

@@ -5,8 +5,9 @@
 //    exactly what the write(2)/fdatasync(2) pattern of each policy costs.
 // 2. Recovery replay speed over each policy's log.
 // 3. The acceptance metric: *gateway ingest* throughput with the store in
-//    the loop (WAL append before every Ingest, snapshot on every publish,
-//    every-N fsync) versus the same ingest stream fully in memory. The
+//    the loop (WAL append before every Ingest, WriteSnapshot on every
+//    publish, every-N fsync) versus the same ingest stream fully in memory,
+//    plus the time to recover the store-backed run's directory. The
 //    training path's per-packet work dominates the WAL frame write, so the
 //    durable run must stay within 10% of the in-memory run.
 //
@@ -329,6 +330,9 @@ int main(int argc, char** argv) {
     double total_ms = 0;
     double snapshot_ms = 0;  ///< spent in WriteSnapshot + Compact
     double overhead = 0;     ///< total_ms / ingest_mem_ms - 1
+    double recover_ms = 0;   ///< reopen + Recover of the run's directory
+    uint64_t epochs_installed = 0;  ///< publish records recovery installed
+    uint64_t records_replayed = 0;  ///< records recovery re-ingested
   };
   auto run_store_ingest = [&](bool snapshots, IngestRun* out) -> bool {
     const std::string dirpath = args.dir + "_ingest";
@@ -388,6 +392,34 @@ int main(int argc, char** argv) {
       selfcheck_failed = true;
     }
     store->reset();
+    if (snapshots) {
+      // Recovery of what the run left: newest checkpoint, then the logged
+      // epochs past it, then the records past the last publish record.
+      core::SignatureServer recovered(&oracle, server_options);
+      auto recover_start = std::chrono::steady_clock::now();
+      auto reopened =
+          store::StoreManager::Open(store::Dir::Real(), dirpath, store_options);
+      auto stats = reopened.ok() ? (*reopened)->Recover(&recovered)
+                                 : StatusOr<store::StoreManager::RecoveryStats>(
+                                       reopened.status());
+      out->recover_ms = MillisSince(recover_start);
+      if (!stats.ok()) {
+        std::fprintf(stderr, "ingest recovery failed: %s\n",
+                     stats.status().ToString().c_str());
+        return false;
+      }
+      out->epochs_installed = stats->epochs_installed;
+      out->records_replayed = stats->records_replayed;
+      if (args.selfcheck &&
+          (recovered.feed_version() != store_server.feed_version() ||
+           recovered.Feed() != store_server.Feed() ||
+           recovered.suspicious_pool() != store_server.suspicious_pool() ||
+           recovered.normal_pool() != store_server.normal_pool())) {
+        std::fprintf(stderr, "SELFCHECK FAILED: recovery diverged from the "
+                             "store-backed run\n");
+        selfcheck_failed = true;
+      }
+    }
     RemoveDirRecursive(dirpath);
     return true;
   };
@@ -410,11 +442,16 @@ int main(int argc, char** argv) {
               "%8.1fms\n"
               "  wal-only %8.1fms  overhead %+6.1f%%   (acceptance metric)\n"
               "  full     %8.1fms  overhead %+6.1f%%   (%.1fms in "
-              "snapshots+compaction)\n",
+              "snapshots+compaction)\n"
+              "  recover  %8.1fms  (%llu logged epochs installed, %llu "
+              "records replayed)\n",
               ingest_n,
               static_cast<unsigned long long>(mem_server->feed_version()),
               ingest_mem_ms, wal_only.total_ms, wal_only.overhead * 100.0,
-              full.total_ms, full.overhead * 100.0, full.snapshot_ms);
+              full.total_ms, full.overhead * 100.0, full.snapshot_ms,
+              full.recover_ms,
+              static_cast<unsigned long long>(full.epochs_installed),
+              static_cast<unsigned long long>(full.records_replayed));
 
   if (!run_raw_phase()) return 2;
 
@@ -453,17 +490,21 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n";
   {
-    char buf[640];
+    char buf[768];
     std::snprintf(
         buf, sizeof(buf),
         "  \"ingest\": {\"packets\": %zu, \"retrains\": %llu, "
         "\"policy\": \"every-n\", \"in_memory_ms\": %.2f, "
         "\"wal_only_ms\": %.2f, \"wal_only_overhead\": %.4f, "
         "\"full_ms\": %.2f, \"full_overhead\": %.4f, "
-        "\"snapshot_ms\": %.2f}\n",
+        "\"snapshot_ms\": %.2f, \"recover_ms\": %.2f, "
+        "\"recover_epochs_installed\": %llu, "
+        "\"recover_records_replayed\": %llu}\n",
         ingest_n, static_cast<unsigned long long>(mem_server->feed_version()),
         ingest_mem_ms, wal_only.total_ms, wal_only.overhead, full.total_ms,
-        full.overhead, full.snapshot_ms);
+        full.overhead, full.snapshot_ms, full.recover_ms,
+        static_cast<unsigned long long>(full.epochs_installed),
+        static_cast<unsigned long long>(full.records_replayed));
     json += buf;
   }
   json += "}\n";

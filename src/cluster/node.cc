@@ -44,21 +44,37 @@ Status ClusterNode::OpenAndServeLocal() {
 
   // Serve-before-sync: a (re)started node publishes the newest epoch its own
   // disk remembers before talking to anyone, so a follower that rejoins a
-  // partitioned cluster still detects with its last known feed.
+  // partitioned cluster still detects with its last known feed. That is the
+  // newest checkpoint's epoch, or a publish record logged after it.
   std::string snapshot_name;
   StatusOr<store::SnapshotContents> snapshot = store::LoadNewestSnapshot(
       options_.dir, options_.data_dir, &snapshot_name);
+  uint64_t version = 0;
+  std::string signatures;
   if (snapshot.ok()) {
     snapshot_covered_ = snapshot->last_sequence;
-    if (snapshot->feed_version > 0) {
-      LEAKDET_ASSIGN_OR_RETURN(
-          match::SignatureSet set,
-          match::SignatureSet::Deserialize(snapshot->signatures));
-      gateway_.Publish(std::make_shared<match::CompiledSignatureSet>(
-          std::move(set), snapshot->feed_version));
-    }
+    version = snapshot->feed_version;
+    signatures = std::move(snapshot->signatures);
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
+  }
+  // A log too damaged to scan is Promote()'s to report; serving goes on
+  // with the checkpoint's epoch.
+  (void)store::ReplayWal(
+      options_.dir, options_.data_dir, snapshot_covered_,
+      [&](store::FeedRecord& record) {
+        if (record.is_publish() && record.feed_version > version) {
+          version = record.feed_version;
+          signatures = std::move(record.signatures);
+        }
+        return Status::OK();
+      },
+      /*repair=*/false);
+  if (version > 0) {
+    LEAKDET_ASSIGN_OR_RETURN(match::SignatureSet set,
+                             match::SignatureSet::Deserialize(signatures));
+    gateway_.Publish(
+        std::make_shared<match::CompiledSignatureSet>(std::move(set), version));
   }
 
   gateway_.set_sink([this](const core::HttpPacket& packet,
@@ -163,11 +179,10 @@ Status ClusterNode::Promote() {
   trainer_ = std::make_unique<gateway::TrainerLoop>(server_.get(), &gateway_,
                                                     trainer_options);
   LEAKDET_RETURN_IF_ERROR(store_->Sync());
-  LEAKDET_ASSIGN_OR_RETURN(store::StoreManager::RecoveryStats recovery,
-                           store_->Recover(server_.get()));
-  if (recovery.snapshot_loaded &&
-      recovery.snapshot_sequence > snapshot_covered_) {
-    snapshot_covered_ = recovery.snapshot_sequence;
+  LEAKDET_ASSIGN_OR_RETURN(recovery_, store_->Recover(server_.get()));
+  if (recovery_.snapshot_loaded &&
+      recovery_.snapshot_sequence > snapshot_covered_) {
+    snapshot_covered_ = recovery_.snapshot_sequence;
   }
   LEAKDET_RETURN_IF_ERROR(trainer_->Start());
   training_sink_.store(trainer_.get(), std::memory_order_release);
@@ -202,9 +217,10 @@ StatusOr<ClusterNode::SyncResult> ClusterNode::SyncWithLeader(
                              ParseWalBatch(fetched.payload, after));
     if (batch.records.empty()) break;
     for (store::FeedRecord& record : batch.records) {
+      const bool publish = record.is_publish();
       LEAKDET_RETURN_IF_ERROR(
           store_->AppendReplicated(std::move(record)).status());
-      ++result.records_applied;
+      if (!publish) ++result.records_applied;
     }
   }
 

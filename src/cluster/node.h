@@ -62,7 +62,8 @@ struct NodeOptions {
 ///
 /// Lifecycle:
 ///  - Start() opens (or reopens, repairing any torn WAL tail) the data
-///    directory, republishes the newest local snapshot's epoch so the node
+///    directory, republishes the newest epoch its disk holds (the newest
+///    snapshot's, or a publish record the WAL logged after it) so the node
 ///    serves *something* before any network round-trip, and starts the
 ///    detection gateway.
 ///  - A follower calls SyncWithLeader() each round: it mirrors the leader's
@@ -71,10 +72,11 @@ struct NodeOptions {
 ///    leader's newest snapshot once its local log covers it.
 ///  - Promote() turns a follower into the leader *from its own durable
 ///    state*: sync, then StoreManager::Recover — newest snapshot restores
-///    the serving epoch, the replicated WAL suffix replays through the
-///    training path re-running any retrains the dead leader never shipped —
-///    then the trainer thread starts. No network required: everything a
-///    promotion needs was replicated ahead of time.
+///    the serving epoch, the replicated publish records install the epochs
+///    the leader logged after it, and the rest of the WAL suffix replays
+///    through the training path re-running only the retrains the dead
+///    leader never shipped — then the trainer thread starts. No network
+///    required: everything a promotion needs was replicated ahead of time.
 ///
 /// Threading: Start/Promote/StopServing/SyncWithLeader are control-plane
 /// calls, externally serialized by the owning Cluster. The gateway's worker
@@ -112,7 +114,7 @@ class ClusterNode {
   /// and leaves the node's state exactly as it was before the damaged step.
   struct SyncResult {
     uint64_t leader_feed_version = 0;
-    uint64_t records_applied = 0;
+    uint64_t records_applied = 0;  ///< ingest records (publish ones ride along)
     bool epoch_applied = false;
     bool snapshot_installed = false;
   };
@@ -152,6 +154,11 @@ class ClusterNode {
   core::SignatureServer* server() { return server_.get(); }
   gateway::TrainerLoop* trainer() { return trainer_.get(); }
 
+  /// What the recovery in Promote() did (zero before a promotion).
+  const store::StoreManager::RecoveryStats& recovery() const {
+    return recovery_;
+  }
+
   /// The node's private metrics registry (store.* / gateway.* / trainer.* of
   /// this node only — nodes must not share one, the names would collide).
   obs::Registry* registry() { return &registry_; }
@@ -178,6 +185,7 @@ class ClusterNode {
   /// last_sequence covered by the newest snapshot this node has (written or
   /// installed); used to skip re-installing a snapshot it already has.
   uint64_t snapshot_covered_ = 0;
+  store::StoreManager::RecoveryStats recovery_;
   obs::Gauge* wal_last_gauge_ = nullptr;
 };
 

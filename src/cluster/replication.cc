@@ -11,6 +11,12 @@ StatusOr<std::string> BuildWalBatchPayload(store::Dir* dir,
   uint64_t last = after_sequence;
   size_t shipped = 0;
   auto collect = [&](const store::FeedRecord& record) -> Status {
+    if (record.is_publish()) {
+      // A publish record travels with the ingest record it follows; one
+      // whose ingest record fell past the size cut waits for the next batch.
+      if (record.sequence == last) payload += store::FrameRecord(record);
+      return Status::OK();
+    }
     if (max_records != 0 && shipped >= max_records) return Status::OK();
     payload += store::FrameRecord(record);
     last = record.sequence;
@@ -43,7 +49,11 @@ StatusOr<WalBatch> ParseWalBatch(std::string_view payload,
                                 std::to_string(cursor.offset()) + ": " +
                                 record.status().message());
     }
-    if (record->sequence != batch.last_sequence + 1) {
+    // Publish records repeat the sequence of the ingest record before them.
+    const uint64_t expected =
+        batch.last_sequence + (record->is_publish() ? 0 : 1);
+    if (record->sequence != expected ||
+        (record->is_publish() && batch.records.empty())) {
       return Status::Corruption(
           "wal batch sequence " + std::to_string(record->sequence) +
           " does not continue " + std::to_string(batch.last_sequence));

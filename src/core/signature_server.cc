@@ -31,24 +31,47 @@ void SignatureServer::Restore(State state) {
   new_suspicious_ = state.new_suspicious;
   signatures_ = std::move(state.signatures);
   last_distance_stats_ = DistanceMatrixStats{};
+  ++restore_generation_;
   feed_version_.store(state.feed_version, std::memory_order_release);
   if (state.feed_version != 0 && feed_observer_) {
     feed_observer_(state.feed_version, signatures_);
   }
 }
 
-bool SignatureServer::Ingest(const HttpPacket& packet) {
+bool SignatureServer::FileIntoPool(const HttpPacket& packet) {
   if (oracle_->IsSensitive(packet)) {
     PushCapped(packet, options_.max_suspicious_pool, &suspicious_,
                &suspicious_evicted_);
     ++new_suspicious_;
-    if (new_suspicious_ >= options_.retrain_after) {
-      return Retrain();
-    }
-  } else {
-    PushCapped(packet, options_.max_normal_pool, &normal_, &normal_evicted_);
+    return true;
+  }
+  PushCapped(packet, options_.max_normal_pool, &normal_, &normal_evicted_);
+  return false;
+}
+
+void SignatureServer::IngestWithoutRetrain(
+    const std::vector<HttpPacket>& packets) {
+  for (const HttpPacket& packet : packets) FileIntoPool(packet);
+  // A retrain reads the pools, which drops their evicted prefix; without
+  // this a long recovery would hold up to twice the cap per pool.
+  DropEvicted(&suspicious_, &suspicious_evicted_);
+  DropEvicted(&normal_, &normal_evicted_);
+}
+
+bool SignatureServer::Ingest(const HttpPacket& packet) {
+  if (FileIntoPool(packet) && new_suspicious_ >= options_.retrain_after) {
+    return Retrain();
   }
   return false;
+}
+
+void SignatureServer::InstallEpoch(uint64_t version, size_t new_suspicious,
+                                   match::SignatureSet signatures) {
+  signatures_ = std::move(signatures);
+  new_suspicious_ = new_suspicious;
+  last_distance_stats_ = DistanceMatrixStats{};
+  feed_version_.store(version, std::memory_order_release);
+  if (feed_observer_) feed_observer_(version, signatures_);
 }
 
 bool SignatureServer::Retrain() {

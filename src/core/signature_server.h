@@ -64,9 +64,30 @@ class SignatureServer {
   /// thread only, like Ingest().
   void Restore(State state);
 
+  /// Counts Restore() calls. A persistence layer compares it with the value
+  /// it last saw to tell whether the state was replaced behind its back
+  /// (store::StoreManager then writes a full checkpoint, since its log no
+  /// longer describes the server).
+  uint64_t restore_generation() const { return restore_generation_; }
+
   /// Ingests one observed packet. Returns true if this ingestion triggered
   /// a retrain (the feed version advanced).
   bool Ingest(const HttpPacket& packet);
+
+  /// Files each packet into its pool exactly as Ingest() does, but never
+  /// retrains. Crash recovery uses it for the records up to a logged
+  /// publish: that epoch's outcome is installed with InstallEpoch() instead
+  /// of recomputed. (A retrain changes only the feed, its version and the
+  /// counter, all of which the install sets.) Like the retrain it stands
+  /// for, it leaves the pools without an evicted prefix.
+  void IngestWithoutRetrain(const std::vector<HttpPacket>& packets);
+
+  /// Installs a published epoch without retraining: its version, its
+  /// (post-transform) signature set and the since-last-retrain counter as
+  /// they were when it was published. The pools are left as they are. Fires
+  /// the feed observer like a retrain. Training thread only.
+  void InstallEpoch(uint64_t version, size_t new_suspicious,
+                    match::SignatureSet signatures);
 
   /// Forces a retrain now (e.g. operator request). No-op without any
   /// suspicious traffic; returns whether a new feed was produced.
@@ -88,8 +109,9 @@ class SignatureServer {
   /// stored or published (federation's K-anonymity gate hooks in here).
   /// Runs on the training thread between the pipeline and the observer;
   /// what it returns *is* the new feed. Deliberately not applied by
-  /// Restore(): snapshots capture post-transform feeds, and re-gating a
-  /// restored feed against evidence lost in the crash would corrupt it.
+  /// Restore() or InstallEpoch(): checkpoints and publish records capture
+  /// post-transform feeds, and re-gating a restored feed against evidence
+  /// lost in the crash would corrupt it.
   using FeedTransform =
       std::function<match::SignatureSet(uint64_t version,
                                         match::SignatureSet trained)>;
@@ -159,6 +181,9 @@ class SignatureServer {
  private:
   /// Erases the first `*evicted` packets of `pool`.
   static void DropEvicted(std::vector<HttpPacket>* pool, size_t* evicted);
+  /// Files `packet` into the pool the payload check picks; returns whether
+  /// it was suspicious (and so advanced the since-last-retrain counter).
+  bool FileIntoPool(const HttpPacket& packet);
   /// Appends `packet` to a FIFO pool of at most `cap` live packets.
   static void PushCapped(const HttpPacket& packet, size_t cap,
                          std::vector<HttpPacket>* pool, size_t* evicted);
@@ -172,6 +197,7 @@ class SignatureServer {
   mutable size_t suspicious_evicted_ = 0;
   mutable size_t normal_evicted_ = 0;
   size_t new_suspicious_ = 0;
+  uint64_t restore_generation_ = 0;
   std::atomic<uint64_t> feed_version_{0};
   match::SignatureSet signatures_;
   DistanceMatrixStats last_distance_stats_;

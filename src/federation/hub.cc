@@ -78,9 +78,10 @@ Status FederationHub::AddTenant(const std::string& tenant) {
 
   if (t->store != nullptr) {
     // Serve-before-replay recovery. The transform is deliberately NOT
-    // applied to the restored feed (snapshots capture post-gate feeds; the
-    // witness window is empty after a restart and would suppress
-    // everything), but replayed retrains do pass the gate again.
+    // applied to restored or logged epochs (checkpoints and publish records
+    // capture post-gate feeds; the witness window is empty after a restart
+    // and would suppress everything), but replayed retrains do pass the
+    // gate again.
     auto recovered = t->store->Recover(t->server.get());
     if (!recovered.ok()) return recovered.status();
   }

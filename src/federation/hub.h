@@ -93,7 +93,7 @@ class FederationHub {
 
   /// Creates (and recovers, when a data root is configured) one tenant's
   /// namespace: server, K-anonymity transform, trainer, store lineage. If
-  /// the lineage holds a snapshot its epoch is republished into the
+  /// the lineage holds a persisted epoch it is republished into the
   /// gateway's tenant namespace before this returns. Setup-time only.
   Status AddTenant(const std::string& tenant);
 

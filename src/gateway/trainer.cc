@@ -221,17 +221,20 @@ void TrainerLoop::Train(const core::HttpPacket& packet,
   stage_cluster_ns_->Observe(stats.cluster_ns);
   stage_siggen_ns_->Observe(stats.siggen_ns);
   if (options_.incremental != nullptr) ExportEpochStats();
-  // Persist the epoch that just published, then retire whatever the
-  // snapshot made redundant.
+  // Persist the epoch that just published (a publish record in the WAL,
+  // plus a checkpoint when one is due), then retire whatever a new
+  // checkpoint made redundant.
   if (options_.store == nullptr) return;
   if (options_.store->WriteSnapshot(*server_).ok()) {
     snapshots_->Inc();
-    options_.store->Compact();
-    // Only a *successful* snapshot has synced the log (WriteSnapshot
-    // fsyncs the WAL before writing the snapshot file). On failure the
-    // staged records may still be volatile, so the counter must stay
-    // nonzero or the drain-time group commit would skip them and
-    // /replog / failover could miss acted-on records.
+    // A failed compaction only leaves files for the next one; the store
+    // counts it in store.compact_errors.
+    (void)options_.store->Compact();
+    // Only a *successful* WriteSnapshot has synced the log (it fsyncs the
+    // WAL after logging the publish record). On failure the staged records
+    // may still be volatile, so the counter must stay nonzero or the
+    // drain-time group commit would skip them and /replog / failover could
+    // miss acted-on records.
     *appends_unflushed = 0;
   } else {
     snapshot_errors_->Inc();

@@ -36,8 +36,10 @@ struct TrainerOptions {
   Clock* clock = nullptr;
   /// Optional durable store (not owned; must outlive the trainer). When set,
   /// every mailbox item is WAL-appended before ingestion, every published
-  /// epoch is snapshotted, and folded-away segments are compacted. The
-  /// caller should StoreManager::Recover() into the server before Start().
+  /// epoch is persisted (StoreManager::WriteSnapshot: a publish record, and
+  /// a checkpoint when one is due), and folded-away segments are compacted.
+  /// The caller should StoreManager::Recover() into the server before
+  /// Start().
   store::StoreManager* store = nullptr;
   /// Signature namespace this trainer publishes into ("" = the default
   /// namespace, i.e. DetectionGateway::Publish). Non-empty routes every

@@ -72,6 +72,12 @@ class PosixDir final : public Dir {
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return Errno("open", path);
     std::string out;
+    // Sized up front: recovery reads multi-MB checkpoints and segments, and
+    // growing the string by doubling would briefly hold ~1.5x the file.
+    struct stat st;
+    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+      out.reserve(static_cast<size_t>(st.st_size));
+    }
     char buf[1 << 16];
     while (true) {
       ssize_t n = ::read(fd, buf, sizeof(buf));

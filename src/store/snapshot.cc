@@ -76,11 +76,21 @@ EncodedSnapshot Encode(const SnapshotView& snapshot) {
 }
 
 StatusOr<std::vector<core::HttpPacket>> ParsePool(std::string_view jsonl) {
-  LEAKDET_ASSIGN_OR_RETURN(std::vector<sim::LabeledPacket> labeled,
-                           io::ParseJsonl(jsonl));
+  // Parsed line by line into one exactly-sized vector: recovery holds the
+  // checkpoint's text and its pools at once, so no second copy of a pool.
   std::vector<core::HttpPacket> packets;
-  packets.reserve(labeled.size());
-  for (sim::LabeledPacket& lp : labeled) packets.push_back(std::move(lp.packet));
+  packets.reserve(static_cast<size_t>(
+      std::count(jsonl.begin(), jsonl.end(), '\n') + 1));
+  for (size_t pos = 0; pos < jsonl.size();) {
+    size_t end = jsonl.find('\n', pos);
+    if (end == std::string_view::npos) end = jsonl.size();
+    std::string_view line = TrimWhitespace(jsonl.substr(pos, end - pos));
+    pos = end + 1;
+    if (line.empty()) continue;
+    LEAKDET_ASSIGN_OR_RETURN(core::HttpPacket packet,
+                             io::ParsePacketJson(line));
+    packets.push_back(std::move(packet));
+  }
   return packets;
 }
 
@@ -215,8 +225,8 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* feed_version,
          parse20(name.substr(26, 20), last_sequence);
 }
 
-Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
-                         const SnapshotView& snapshot) {
+StatusOr<uint64_t> WriteSnapshotFile(Dir* dir, const std::string& dirpath,
+                                     const SnapshotView& snapshot) {
   const std::string name =
       SnapshotFileName(snapshot.feed_version, snapshot.last_sequence);
   const std::string tmp = dirpath + "/." + name + ".tmp";
@@ -235,7 +245,8 @@ Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
     return status;
   }
   LEAKDET_RETURN_IF_ERROR(dir->Rename(tmp, final_path));
-  return dir->SyncDir(dirpath);
+  LEAKDET_RETURN_IF_ERROR(dir->SyncDir(dirpath));
+  return static_cast<uint64_t>(encoded.head.size() + encoded.body.size());
 }
 
 StatusOr<SnapshotContents> LoadNewestSnapshot(Dir* dir,

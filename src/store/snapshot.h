@@ -76,9 +76,9 @@ bool ParseSnapshotFileName(std::string_view name, uint64_t* feed_version,
 /// directory, fsync, rename to its final name, directory fsync. A crash at
 /// any point leaves the previous snapshots intact. The file holds exactly
 /// SerializeSnapshot(snapshot), written as header then body, so the body is
-/// never copied.
-Status WriteSnapshotFile(Dir* dir, const std::string& dirpath,
-                         const SnapshotView& snapshot);
+/// never copied. Returns the file's size in bytes.
+StatusOr<uint64_t> WriteSnapshotFile(Dir* dir, const std::string& dirpath,
+                                     const SnapshotView& snapshot);
 
 /// Loads the newest snapshot that parses and digest-verifies, skipping
 /// damaged ones (recovery must fall back, not fail, when the latest write

@@ -44,7 +44,10 @@ StoreManager::StoreManager(Dir* dir, std::string dirpath, StoreOptions options)
   sync_errors_ = registry_->GetCounter("store.wal_sync_errors");
   snapshots_written_ = registry_->GetCounter("store.snapshots_written");
   snapshot_errors_ = registry_->GetCounter("store.snapshot_errors");
+  publish_records_ = registry_->GetCounter("store.publish_records");
+  checkpoints_written_ = registry_->GetCounter("store.checkpoints_written");
   compactions_ = registry_->GetCounter("store.compactions");
+  compact_errors_ = registry_->GetCounter("store.compact_errors");
   segments_removed_ = registry_->GetCounter("store.segments_removed");
   snapshots_removed_ = registry_->GetCounter("store.snapshots_removed");
   last_sequence_gauge_ = registry_->GetGauge("store.wal_last_sequence");
@@ -53,6 +56,8 @@ StoreManager::StoreManager(Dir* dir, std::string dirpath, StoreOptions options)
   segments_created_gauge_ = registry_->GetGauge("store.wal_segments_created");
   append_repairs_gauge_ = registry_->GetGauge("store.wal_append_repairs");
   snapshot_version_gauge_ = registry_->GetGauge("store.snapshot_version");
+  wal_bytes_since_checkpoint_gauge_ =
+      registry_->GetGauge("store.wal_bytes_since_checkpoint");
 }
 
 void StoreManager::RefreshWalGauges() {
@@ -62,34 +67,55 @@ void StoreManager::RefreshWalGauges() {
   segments_created_gauge_->Set(
       static_cast<int64_t>(writer_->segments_created()));
   append_repairs_gauge_->Set(static_cast<int64_t>(writer_->append_repairs()));
+  wal_bytes_since_checkpoint_gauge_->Set(
+      static_cast<int64_t>(wal_bytes_since_checkpoint_));
+}
+
+StatusOr<uint64_t> StoreManager::AppendToWal(FeedRecord record,
+                                             bool replicated) {
+  const bool publish = record.is_publish();
+  const uint64_t bytes_before = writer_->bytes_appended();
+  const uint64_t segment_before = writer_->segment_id();
+  const uint64_t last_before = last_sequence();
+  StatusOr<uint64_t> sequence = [&] {
+    Timed timed(append_ns_);
+    return replicated ? writer_->AppendReplicated(std::move(record))
+                      : writer_->Append(std::move(record));
+  }();
+  wal_bytes_since_checkpoint_ += writer_->bytes_appended() - bytes_before;
+  // A rotation closed the previous segment on everything appended before
+  // this record: Compact() then never has to read it back.
+  if (writer_->segment_id() != segment_before) {
+    segment_last_sequence_[segment_before] = last_before;
+  }
+  if (sequence.ok()) {
+    appends_->Inc();
+    if (publish) publish_records_->Inc();
+  } else {
+    append_errors_->Inc();
+  }
+  RefreshWalGauges();
+  return sequence;
 }
 
 StatusOr<uint64_t> StoreManager::Append(FeedRecord record) {
-  StatusOr<uint64_t> sequence = [&] {
-    Timed timed(append_ns_);
-    return writer_->Append(std::move(record));
-  }();
-  if (sequence.ok()) {
-    appends_->Inc();
-  } else {
-    append_errors_->Inc();
-  }
-  RefreshWalGauges();
-  return sequence;
+  return AppendToWal(std::move(record), /*replicated=*/false);
 }
 
 StatusOr<uint64_t> StoreManager::AppendReplicated(FeedRecord record) {
-  StatusOr<uint64_t> sequence = [&] {
-    Timed timed(append_ns_);
-    return writer_->AppendReplicated(std::move(record));
-  }();
-  if (sequence.ok()) {
-    appends_->Inc();
-  } else {
-    append_errors_->Inc();
-  }
+  return AppendToWal(std::move(record), /*replicated=*/true);
+}
+
+void StoreManager::NoteCheckpoint(const std::string& name, uint64_t sequence,
+                                  uint64_t feed_version, uint64_t bytes) {
+  newest_snapshot_name_ = name;
+  newest_snapshot_covered_ = sequence;
+  newest_snapshot_bytes_ = bytes;
+  valid_snapshots_.insert(name);
+  wal_bytes_since_checkpoint_ = 0;
+  compact_due_ = true;
+  snapshot_version_gauge_->Set(static_cast<int64_t>(feed_version));
   RefreshWalGauges();
-  return sequence;
 }
 
 Status StoreManager::InstallSnapshot(const SnapshotContents& snapshot) {
@@ -107,17 +133,15 @@ Status StoreManager::InstallSnapshot(const SnapshotContents& snapshot) {
     snapshot_errors_->Inc();
     return sync_status;
   }
-  Status write_status = WriteSnapshotFile(dir_, dirpath_, snapshot);
-  if (!write_status.ok()) {
+  StatusOr<uint64_t> bytes = WriteSnapshotFile(dir_, dirpath_, snapshot);
+  if (!bytes.ok()) {
     snapshot_errors_->Inc();
-    return write_status;
+    return bytes.status();
   }
-  newest_snapshot_name_ =
-      SnapshotFileName(snapshot.feed_version, snapshot.last_sequence);
-  newest_snapshot_covered_ = snapshot.last_sequence;
-  valid_snapshots_.insert(newest_snapshot_name_);
+  NoteCheckpoint(SnapshotFileName(snapshot.feed_version, snapshot.last_sequence),
+                 snapshot.last_sequence, snapshot.feed_version, *bytes);
+  checkpoints_written_->Inc();
   snapshots_written_->Inc();
-  snapshot_version_gauge_->Set(static_cast<int64_t>(snapshot.feed_version));
   return Status::OK();
 }
 
@@ -161,10 +185,20 @@ StatusOr<std::unique_ptr<StoreManager>> StoreManager::Open(
   LEAKDET_ASSIGN_OR_RETURN(
       store->open_scan_,
       ReplayWal(dir, dirpath, /*after_sequence=*/0, nullptr, /*repair=*/true));
+  // A compaction may have folded the whole log into a checkpoint: the
+  // sequence still resumes past what any checkpoint covers, or recovery
+  // (which replays only past the checkpoint) would skip the new records.
+  uint64_t last_sequence = store->open_scan_.last_sequence;
+  LEAKDET_ASSIGN_OR_RETURN(std::vector<std::string> names, dir->List(dirpath));
+  for (const std::string& name : names) {
+    uint64_t version = 0, covered = 0;
+    if (ParseSnapshotFileName(name, &version, &covered)) {
+      last_sequence = std::max(last_sequence, covered);
+    }
+  }
   LEAKDET_ASSIGN_OR_RETURN(
       store->writer_,
-      WalWriter::Open(dir, dirpath, store->open_scan_.last_sequence + 1,
-                      options.wal));
+      WalWriter::Open(dir, dirpath, last_sequence + 1, options.wal));
   store->RefreshWalGauges();
   return store;
 }
@@ -173,9 +207,12 @@ StatusOr<StoreManager::RecoveryStats> StoreManager::Recover(
     core::SignatureServer* server) {
   RecoveryStats stats;
   uint64_t after = 0;
+  std::string name;
   StatusOr<SnapshotContents> snapshot =
-      LoadNewestSnapshot(dir_, dirpath_, nullptr, &stats.snapshots_skipped);
+      LoadNewestSnapshot(dir_, dirpath_, &name, &stats.snapshots_skipped);
   if (snapshot.ok()) {
+    LEAKDET_ASSIGN_OR_RETURN(uint64_t bytes,
+                             dir_->FileSize(dirpath_ + "/" + name));
     core::SignatureServer::State state;
     state.suspicious = std::move(snapshot->suspicious);
     state.normal = std::move(snapshot->normal);
@@ -184,48 +221,72 @@ StatusOr<StoreManager::RecoveryStats> StoreManager::Recover(
     LEAKDET_ASSIGN_OR_RETURN(
         state.signatures, match::SignatureSet::Deserialize(snapshot->signatures));
     // Serve-before-replay: Restore() fires the feed observer, so the
-    // pre-crash epoch is live before a single WAL record is reapplied.
+    // checkpoint's epoch is live before a single WAL record is reapplied.
     server->Restore(std::move(state));
     stats.snapshot_loaded = true;
     stats.snapshot_version = snapshot->feed_version;
     stats.snapshot_sequence = snapshot->last_sequence;
     after = snapshot->last_sequence;
+    NoteCheckpoint(name, after, snapshot->feed_version, bytes);
   } else if (snapshot.status().code() != StatusCode::kNotFound) {
     return snapshot.status();
   }
 
-  // Replay the suffix. The log must pick up exactly where the snapshot left
-  // off: a first surviving record beyond `after + 1` means acknowledged
-  // records were lost to compaction or deletion — refuse to guess.
+  // One pass over the suffix. It must pick up exactly where the checkpoint
+  // left off: a first surviving record beyond `after + 1` means
+  // acknowledged records were lost to compaction or deletion — refuse to
+  // guess. Ingest records are held back until the next publish record,
+  // which proves their retrains already ran: they only refill the pools,
+  // and that record's epoch becomes the one to install.
+  std::vector<core::HttpPacket> held;
+  FeedRecord last_publish;
   bool first = true;
-  auto apply = [&](const FeedRecord& record) -> Status {
-    if (first && record.sequence != after + 1) {
+  auto apply = [&](FeedRecord& record) -> Status {
+    if (first && (record.is_publish() || record.sequence != after + 1)) {
       return Status::Corruption(
           "WAL gap after snapshot: expected sequence " +
           std::to_string(after + 1) + ", found " +
           std::to_string(record.sequence));
     }
     first = false;
-    server->Ingest(record.packet);
+    if (!record.is_publish()) {
+      held.push_back(std::move(record.packet));
+      return Status::OK();
+    }
+    server->IngestWithoutRetrain(held);
+    held.clear();
+    last_publish = std::move(record);
+    ++stats.epochs_installed;
     return Status::OK();
   };
   LEAKDET_ASSIGN_OR_RETURN(
       stats.replay, ReplayWal(dir_, dirpath_, after, apply, /*repair=*/false));
+  if (stats.epochs_installed > 0) {
+    LEAKDET_ASSIGN_OR_RETURN(
+        match::SignatureSet set,
+        match::SignatureSet::Deserialize(last_publish.signatures));
+    server->InstallEpoch(last_publish.feed_version,
+                         static_cast<size_t>(last_publish.new_suspicious),
+                         std::move(set));
+  }
+  // The records whose publish record the crash lost (if any) re-run their
+  // retrains exactly as the first time.
+  const uint64_t version = server->feed_version();
+  for (const core::HttpPacket& packet : held) server->Ingest(packet);
+  stats.records_replayed = held.size();
+  stats.epochs_retrained = server->feed_version() - version;
+
+  logged_server_ = server;
+  logged_generation_ = server->restore_generation();
+  wal_bytes_since_checkpoint_ = stats.replay.applied_bytes;
+  RefreshWalGauges();
   return stats;
 }
 
-Status StoreManager::WriteSnapshot(const core::SignatureServer& server) {
-  Timed timed(snapshot_write_ns_);
-  // Sync first so the snapshot never claims records the log could still
-  // lose; after this the durable watermark covers last_sequence().
-  Status sync_status = Sync();
-  if (!sync_status.ok()) {
-    snapshot_errors_->Inc();
-    return sync_status;
-  }
+Status StoreManager::WriteCheckpoint(const core::SignatureServer& server,
+                                     std::string_view signatures) {
   // Serialized straight from the server's pools: no copy of them is made.
   const std::string params = DescribeBuildParams(server.options());
-  const std::string signatures = server.Feed();
   SnapshotView snapshot;
   snapshot.feed_version = server.feed_version();
   snapshot.last_sequence = last_sequence();
@@ -234,28 +295,77 @@ Status StoreManager::WriteSnapshot(const core::SignatureServer& server) {
   snapshot.signatures = signatures;
   snapshot.suspicious = &server.suspicious_pool();
   snapshot.normal = &server.normal_pool();
-  Status write_status = WriteSnapshotFile(dir_, dirpath_, snapshot);
-  if (!write_status.ok()) {
-    snapshot_errors_->Inc();
-    return write_status;
+  LEAKDET_ASSIGN_OR_RETURN(uint64_t bytes,
+                           WriteSnapshotFile(dir_, dirpath_, snapshot));
+  NoteCheckpoint(SnapshotFileName(snapshot.feed_version, snapshot.last_sequence),
+                 snapshot.last_sequence, snapshot.feed_version, bytes);
+  checkpoints_written_->Inc();
+  return Status::OK();
+}
+
+Status StoreManager::WriteSnapshot(const core::SignatureServer& server) {
+  Timed timed(snapshot_write_ns_);
+  const std::string signatures = server.Feed();
+  // The log describes the server's state only if this store recovered it,
+  // or checkpointed it, and nothing Restore()d it since.
+  const bool logged = &server == logged_server_ &&
+                      server.restore_generation() == logged_generation_;
+  const bool has_records = last_sequence() > 0;
+  if (logged && has_records) {
+    FeedRecord publish;
+    publish.type = RecordType::kPublish;
+    publish.feed_version = server.feed_version();
+    publish.new_suspicious = server.new_suspicious();
+    publish.signatures = signatures;
+    StatusOr<uint64_t> appended = AppendToWal(std::move(publish),
+                                              /*replicated=*/false);
+    if (!appended.ok()) {
+      snapshot_errors_->Inc();
+      return appended.status();
+    }
   }
-  newest_snapshot_name_ =
-      SnapshotFileName(snapshot.feed_version, snapshot.last_sequence);
-  newest_snapshot_covered_ = snapshot.last_sequence;
-  valid_snapshots_.insert(newest_snapshot_name_);
+  // Sync first so a checkpoint never claims records the log could still
+  // lose; after this the publish record is durable too.
+  Status status = Sync();
+  if (status.ok() &&
+      (!logged || !has_records || newest_snapshot_bytes_ == 0 ||
+       wal_bytes_since_checkpoint_ >= newest_snapshot_bytes_)) {
+    status = WriteCheckpoint(server, signatures);
+  }
+  if (!status.ok()) {
+    snapshot_errors_->Inc();
+    return status;
+  }
+  logged_server_ = &server;
+  logged_generation_ = server.restore_generation();
   snapshots_written_->Inc();
-  snapshot_version_gauge_->Set(static_cast<int64_t>(snapshot.feed_version));
+  snapshot_version_gauge_->Set(static_cast<int64_t>(server.feed_version()));
   return Status::OK();
 }
 
 StatusOr<StoreManager::CompactStats> StoreManager::Compact() {
+  // What may be removed changes only with the newest checkpoint.
+  if (!compact_due_) return CompactStats{};
+  StatusOr<CompactStats> stats = CompactDirectory();
+  if (!stats.ok()) {
+    compact_errors_->Inc();
+    return stats;
+  }
+  compact_due_ = false;
+  compactions_->Inc();
+  segments_removed_->Inc(stats->segments_removed);
+  snapshots_removed_->Inc(stats->snapshots_removed);
+  return stats;
+}
+
+StatusOr<StoreManager::CompactStats> StoreManager::CompactDirectory() {
   CompactStats stats;
   LEAKDET_ASSIGN_OR_RETURN(std::vector<std::string> names, dir_->List(dirpath_));
 
-  // The newest *valid* snapshot defines what is safely folded away. Without
-  // one, nothing may be removed. The one WriteSnapshot() produced last is
-  // known valid without re-reading it; the disk scan only runs when this
-  // instance has never written one (e.g. the CLI compact command).
+  // The newest *valid* checkpoint defines what is safely folded away.
+  // Without one, nothing may be removed. The one this instance wrote,
+  // installed or recovered last is known valid without re-reading it; the
+  // disk scan only runs when there is none (e.g. the CLI compact command).
   std::string newest_name = newest_snapshot_name_;
   uint64_t covered = newest_snapshot_covered_;
   if (newest_name.empty()) {
@@ -309,8 +419,9 @@ StatusOr<StoreManager::CompactStats> StoreManager::Compact() {
   // WAL segments: remove each one (oldest first) whose records all have
   // sequence <= covered. Never the active segment, and stop at the first
   // segment that still holds live records — everything after it does too.
-  // Closed segments are immutable, so each is read at most once per process
-  // to learn its last sequence; after that the decision is in-memory.
+  // Closed segments are immutable, and the writer reports the last sequence
+  // of each one it closes; only a segment an earlier process closed is read,
+  // once, to learn it. After that the decision is in-memory.
   std::vector<std::pair<uint64_t, std::string>> segments;
   for (const std::string& name : names) {
     uint64_t id = 0;
@@ -344,9 +455,6 @@ StatusOr<StoreManager::CompactStats> StoreManager::Compact() {
   if (stats.segments_removed + stats.snapshots_removed > 0) {
     LEAKDET_RETURN_IF_ERROR(dir_->SyncDir(dirpath_));
   }
-  compactions_->Inc();
-  segments_removed_->Inc(stats.segments_removed);
-  snapshots_removed_->Inc(stats.snapshots_removed);
   return stats;
 }
 

@@ -10,9 +10,9 @@ namespace leakdet::store {
 
 namespace {
 
-constexpr uint8_t kFeedRecordType = 1;
 constexpr size_t kFrameHeaderBytes = 9;   // crc u32 + length u32 + type u8
 constexpr size_t kPayloadHeaderBytes = 25;  // seq + version + flags
+constexpr size_t kPublishHeaderBytes = 24;  // seq + version + new_suspicious
 constexpr size_t kMaxRecordBytes = 64u << 20;
 // Staged-batch write threshold: a lazy sync policy (on-rotate, huge N) still
 // writes in bounded chunks instead of holding a whole segment in memory.
@@ -40,6 +40,19 @@ uint32_t GetU32(std::string_view data, size_t pos) {
 uint64_t GetU64(std::string_view data, size_t pos) {
   return static_cast<uint64_t>(GetU32(data, pos)) |
          (static_cast<uint64_t>(GetU32(data, pos + 4)) << 32);
+}
+
+StatusOr<FeedRecord> DecodePublishPayload(std::string_view payload) {
+  if (payload.size() < kPublishHeaderBytes) {
+    return Status::Corruption("WAL publish record payload too short");
+  }
+  FeedRecord record;
+  record.type = RecordType::kPublish;
+  record.sequence = GetU64(payload, 0);
+  record.feed_version = GetU64(payload, 8);
+  record.new_suspicious = GetU64(payload, 16);
+  record.signatures = std::string(payload.substr(kPublishHeaderBytes));
+  return record;
 }
 
 StatusOr<FeedRecord> DecodePayload(std::string_view payload) {
@@ -110,13 +123,18 @@ namespace {
 void AppendFrame(const FeedRecord& record, std::string* out) {
   const size_t head = out->size();
   out->append(8, '\0');  // crc u32 + length u32; type starts the covered part
-  out->push_back(static_cast<char>(kFeedRecordType));
+  out->push_back(static_cast<char>(record.type));
   PutU64(record.sequence, out);
   PutU64(record.feed_version, out);
-  out->push_back(record.sensitive ? 1 : 0);
-  PutU32(record.shard, out);
-  PutU32(record.num_matches, out);
-  io::AppendPacketJson(record.packet, out);
+  if (record.is_publish()) {
+    PutU64(record.new_suspicious, out);
+    out->append(record.signatures);
+  } else {
+    out->push_back(record.sensitive ? 1 : 0);
+    PutU32(record.shard, out);
+    PutU32(record.num_matches, out);
+    io::AppendPacketJson(record.packet, out);
+  }
 
   std::string_view covered = std::string_view(*out).substr(head + 8);
   const uint32_t masked = Crc32cMask(Crc32c(covered));
@@ -152,18 +170,24 @@ StatusOr<FeedRecord> RecordCursor::Next() {
   if (Crc32c(covered) != expected_crc) {
     return Status::Corruption("WAL record CRC mismatch");
   }
-  if (static_cast<uint8_t>(covered[0]) != kFeedRecordType) {
-    return Status::Corruption("unknown WAL record type");
+  StatusOr<FeedRecord> record = Status::Corruption("unknown WAL record type");
+  switch (static_cast<RecordType>(covered[0])) {
+    case RecordType::kIngest:
+      record = DecodePayload(covered.substr(1));
+      break;
+    case RecordType::kPublish:
+      record = DecodePublishPayload(covered.substr(1));
+      break;
   }
-  StatusOr<FeedRecord> record = DecodePayload(covered.substr(1));
   if (!record.ok()) return record.status();
   offset_ += kFrameHeaderBytes + length;
   return record;
 }
 
-StatusOr<WalReplayStats> ReplayWal(
-    Dir* dir, const std::string& dirpath, uint64_t after_sequence,
-    const std::function<Status(const FeedRecord&)>& fn, bool repair) {
+StatusOr<WalReplayStats> ReplayWal(Dir* dir, const std::string& dirpath,
+                                   uint64_t after_sequence,
+                                   const std::function<Status(FeedRecord&)>& fn,
+                                   bool repair) {
   LEAKDET_ASSIGN_OR_RETURN(std::vector<std::string> names, dir->List(dirpath));
   std::vector<std::pair<uint64_t, std::string>> segments;
   for (const std::string& name : names) {
@@ -179,6 +203,7 @@ StatusOr<WalReplayStats> ReplayWal(
     RecordCursor cursor(data);
     ++stats.segments;
     while (true) {
+      const size_t start = cursor.offset();
       StatusOr<FeedRecord> record = cursor.Next();
       if (!record.ok()) {
         if (record.status().code() == StatusCode::kNotFound) break;
@@ -196,14 +221,19 @@ StatusOr<WalReplayStats> ReplayWal(
         }
         break;
       }
-      if (stats.last_sequence != 0 &&
-          record->sequence != stats.last_sequence + 1) {
+      // An ingest record continues the sequence; a publish record repeats
+      // the sequence of the ingest record before it. Either may open the
+      // log when compaction retired everything before it.
+      const uint64_t expected =
+          stats.last_sequence + (record->is_publish() ? 0 : 1);
+      if (stats.last_sequence != 0 && record->sequence != expected) {
         return Status::Corruption("WAL sequence gap in " + segments[i].second);
       }
       stats.last_sequence = record->sequence;
       ++stats.records;
       if (record->sequence > after_sequence) {
         ++stats.applied;
+        stats.applied_bytes += cursor.offset() - start;
         if (fn) LEAKDET_RETURN_IF_ERROR(fn(*record));
       }
     }
@@ -301,11 +331,13 @@ Status WalWriter::Flush() {
 StatusOr<uint64_t> WalWriter::AppendReplicated(FeedRecord record) {
   // A replica's log must stay a byte-for-byte prefix-mirror of its leader's
   // sequence space: accept exactly the next expected record, nothing else.
-  if (record.sequence != next_sequence_) {
+  const uint64_t expected =
+      record.is_publish() ? next_sequence_ - 1 : next_sequence_;
+  if (record.sequence != expected) {
     return Status::InvalidArgument(
         "replicated record sequence " + std::to_string(record.sequence) +
         " does not continue the log (expected " +
-        std::to_string(next_sequence_) + ")");
+        std::to_string(expected) + ")");
   }
   return Append(std::move(record));
 }
@@ -314,15 +346,21 @@ StatusOr<uint64_t> WalWriter::Append(FeedRecord record) {
   if (broken_) {
     return Status::FailedPrecondition("WAL writer is broken (unrepaired tail)");
   }
+  if (record.is_publish() && next_sequence_ == 1) {
+    return Status::FailedPrecondition(
+        "a publish record needs an ingest record before it");
+  }
   if (segment_size_ + pending_.size() >= options_.segment_bytes) {
     Rotate();  // on failure: stay on the oversized segment (see Rotate)
     if (broken_) {
       return Status::FailedPrecondition("WAL rotation failed; writer broken");
     }
   }
-  record.sequence = next_sequence_;
+  const size_t staged = pending_.size();
+  record.sequence = record.is_publish() ? next_sequence_ - 1 : next_sequence_;
   AppendFrame(record, &pending_);
-  ++next_sequence_;
+  if (!record.is_publish()) ++next_sequence_;
+  bytes_appended_ += pending_.size() - staged;
   ++unsynced_records_;
 
   // Group commit: the staged batch reaches the file in one write() at the

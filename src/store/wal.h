@@ -14,17 +14,39 @@
 
 namespace leakdet::store {
 
-/// One persisted feed event: the (packet, verdict, feed-version) tuple the
-/// gateway's training path observed, in arrival order. `sequence` is the
-/// global position in the log (1-based, contiguous); `feed_version` is the
-/// matcher epoch the verdict was produced under.
+/// The two kinds of WAL record (the frame's type byte).
+enum class RecordType : uint8_t {
+  /// One (packet, verdict, feed-version) event the training path observed.
+  kIngest = 1,
+  /// The feed an epoch published, logged right after the ingest record
+  /// whose retrain produced it.
+  kPublish = 2,
+};
+
+/// One WAL record, in log order.
+///
+/// An ingest record is the tuple the gateway's training path observed, in
+/// arrival order: `sequence` is its global position in the log (1-based,
+/// contiguous) and `feed_version` the matcher epoch the verdict was produced
+/// under.
+///
+/// A publish record takes no sequence of its own: it carries the sequence of
+/// the ingest record before it, so sequences keep counting packets. Its
+/// `feed_version`, `new_suspicious` and `signatures`
+/// (match::SignatureSet::Serialize()) are the server's published epoch once
+/// that record was ingested; the verdict fields and the packet are unused.
 struct FeedRecord {
+  RecordType type = RecordType::kIngest;
   uint64_t sequence = 0;
   uint64_t feed_version = 0;
   bool sensitive = false;
   uint32_t shard = 0;
   uint32_t num_matches = 0;
   core::HttpPacket packet;
+  uint64_t new_suspicious = 0;
+  std::string signatures;
+
+  bool is_publish() const { return type == RecordType::kPublish; }
 };
 
 /// When the WAL writer makes appended records durable. Records are
@@ -66,10 +88,14 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* id);
 ///   +------------+-----------+--------+------------------+
 ///
 /// little-endian, crc masked (util/crc32c.h) and covering type+payload.
-/// The feed-record payload is
+/// The ingest-record payload (type 1) is
 ///
 ///   sequence u64 | feed_version u64 | sensitive u8 | shard u32 |
 ///   num_matches u32 | packet JSON (io::SerializePacketJson)
+///
+/// and the publish-record payload (type 2) is
+///
+///   sequence u64 | feed_version u64 | new_suspicious u64 | signature set
 std::string FrameRecord(const FeedRecord& record);
 
 /// Iterates framed records over one segment's raw bytes.
@@ -93,20 +119,25 @@ class RecordCursor {
 
 struct WalReplayStats {
   uint64_t segments = 0;         ///< segments scanned
-  uint64_t records = 0;          ///< valid records seen
+  uint64_t records = 0;          ///< valid records seen (both types)
   uint64_t applied = 0;          ///< records delivered (sequence > after)
+  uint64_t applied_bytes = 0;    ///< framed bytes of the delivered records
   uint64_t last_sequence = 0;    ///< highest valid sequence (0 = empty log)
   uint64_t truncated_bytes = 0;  ///< torn-tail bytes discarded
 };
 
 /// Replays every record with sequence > `after_sequence`, in order, into
-/// `fn` (which may be null to scan only). An invalid tail in the *last*
-/// segment is a torn tail: it is skipped and, when `repair` is set,
-/// truncated away on disk. Invalid bytes anywhere else — or a sequence gap —
-/// are Corruption: the log is damaged beyond safe replay.
-StatusOr<WalReplayStats> ReplayWal(
-    Dir* dir, const std::string& dirpath, uint64_t after_sequence,
-    const std::function<Status(const FeedRecord&)>& fn, bool repair);
+/// `fn` (which may be null to scan only; it may move from the record). A
+/// publish record carries the sequence of the ingest record before it, so
+/// one whose ingest record is folded into `after_sequence` is skipped too.
+/// An invalid tail in the *last* segment is a torn tail: it is skipped and,
+/// when `repair` is set, truncated away on disk. Invalid bytes anywhere else
+/// — or a sequence gap — are Corruption: the log is damaged beyond safe
+/// replay.
+StatusOr<WalReplayStats> ReplayWal(Dir* dir, const std::string& dirpath,
+                                   uint64_t after_sequence,
+                                   const std::function<Status(FeedRecord&)>& fn,
+                                   bool repair);
 
 /// Appends CRC-framed records across size-rotated segment files with group
 /// commit: records are staged in an in-memory batch and reach the file in
@@ -131,20 +162,22 @@ class WalWriter {
   /// Sync() before destruction for durability.
   ~WalWriter();
 
-  /// Stages `record` (its `sequence` field is assigned) and applies the
-  /// sync policy. On a write fault the segment tail is truncated back to
-  /// the last flushed batch boundary and the whole staged batch is retried —
-  /// immediately once, then again at the next flush point — so sequences
-  /// never skip. Only an unrepairable tail (truncate/reopen failure) breaks
+  /// Stages `record` and applies the sync policy. Its `sequence` field is
+  /// assigned: the next sequence for an ingest record, the last one for a
+  /// publish record (which needs an ingest record before it). On a write
+  /// fault the segment tail is truncated back to the last flushed batch
+  /// boundary and the whole staged batch is retried — immediately once, then
+  /// again at the next flush point — so sequences never skip. Only an unrepairable tail (truncate/reopen failure) breaks
   /// the writer, which then refuses further appends. Flush and sync failures
   /// do not fail the append: the durable watermark simply does not advance
   /// (callers gate acknowledgement on it). Returns the assigned sequence.
   StatusOr<uint64_t> Append(FeedRecord record);
 
   /// Replication apply: appends `record` keeping its caller-assigned
-  /// sequence, which must be exactly next_sequence() — followers mirror the
-  /// leader's log, so a gap or rewind is InvalidArgument and nothing is
-  /// written. Same durability/repair contract as Append().
+  /// sequence, which must be exactly the one Append() would assign —
+  /// followers mirror the leader's log, so a gap or rewind is
+  /// InvalidArgument and nothing is written. Same durability/repair contract
+  /// as Append().
   StatusOr<uint64_t> AppendReplicated(FeedRecord record);
 
   /// Writes any staged batch and forces an fdatasync, advancing the durable
@@ -157,6 +190,9 @@ class WalWriter {
   uint64_t durable_sequence() const {
     return durable_sequence_.load(std::memory_order_acquire);
   }
+
+  /// Framed bytes staged by this writer so far (both record types).
+  uint64_t bytes_appended() const { return bytes_appended_; }
 
   uint64_t segments_created() const { return segments_created_; }
   uint64_t segment_id() const { return segment_id_; }
@@ -191,6 +227,7 @@ class WalWriter {
   size_t segment_size_ = 0;   ///< bytes of cleanly *flushed* records
   std::string pending_;       ///< staged frames not yet written
   size_t unsynced_records_ = 0;
+  uint64_t bytes_appended_ = 0;
   std::atomic<uint64_t> durable_sequence_{0};
   uint64_t segments_created_ = 0;
   uint64_t append_repairs_ = 0;

@@ -243,5 +243,130 @@ TEST(ClusterReplicationTest, FollowerSyncsAndPromotesToIdenticalFeed) {
   (*follower)->StopServing();
 }
 
+// Failover past the leader's newest checkpoint: the leader logs each epoch
+// as a publish record, the follower mirrors those records, a restart serves
+// the newest of them, and promotion installs the leader's last epoch from
+// them instead of retraining.
+TEST(ClusterReplicationTest, PromotionInstallsEpochsLoggedPastTheCheckpoint) {
+  std::vector<core::DeviceTokens> devices(1);
+  Rng rng(37);
+  devices[0].android_id = rng.RandomHex(16);
+  devices[0].imei = rng.RandomDigits(15);
+  core::PayloadCheck oracle(devices);
+  std::vector<std::string> tokens = {devices[0].android_id, devices[0].imei};
+
+  core::SignatureServer::Options server_options;
+  server_options.retrain_after = 8;
+  server_options.pipeline.sample_size = 16;
+  server_options.pipeline.normal_corpus_size = 64;
+  server_options.pipeline.num_threads = 1;
+
+  // The leader's lineage starts with a checkpoint over a large normal pool,
+  // so the few epochs below stay far from the next checkpoint.
+  testing::ScriptedDir leader_dir(103);
+  {
+    auto store = store::StoreManager::Open(&leader_dir, "node", {});
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    core::SignatureServer server(&oracle, server_options);
+    ASSERT_TRUE((*store)->Recover(&server).ok());
+    for (int i = 0; i < 400; ++i) {
+      store::FeedRecord record;
+      record.packet = testing::GeneratePacket(&rng, tokens, 0.0);
+      server.Ingest(record.packet);
+      ASSERT_TRUE((*store)->Append(std::move(record)).ok());
+    }
+    ASSERT_EQ(server.feed_version(), 0u);
+    ASSERT_TRUE((*store)->WriteSnapshot(server).ok());
+  }
+
+  auto make_node = [&](testing::ScriptedDir* dir, const std::string& id) {
+    cluster::NodeOptions options;
+    options.node_id = id;
+    options.dir = dir;
+    options.oracle = &oracle;
+    options.server = server_options;
+    options.gateway.num_shards = 1;
+    options.gateway.queue_capacity = 64;
+    options.train_from_gateway = false;
+    return cluster::ClusterNode::Start(std::move(options));
+  };
+  testing::ScriptedDir follower_dir(104);
+  auto leader = make_node(&leader_dir, "leader");
+  ASSERT_TRUE(leader.ok()) << leader.status().message();
+  auto follower = make_node(&follower_dir, "follower");
+  ASSERT_TRUE(follower.ok()) << follower.status().message();
+  ASSERT_TRUE((*leader)->Promote().ok());
+  auto listener = std::make_unique<testing::ScriptedListener>();
+  testing::ScriptedListener* listener_ptr = listener.get();
+  ASSERT_TRUE((*leader)->ServeReplication(std::move(listener)).ok());
+  auto connect = [&]() -> StatusOr<std::unique_ptr<net::Stream>> {
+    std::unique_ptr<testing::ScriptedStream> stream = listener_ptr->Connect();
+    (void)stream->SetReadTimeout(5000);
+    return StatusOr<std::unique_ptr<net::Stream>>(std::move(stream));
+  };
+  // The follower mirrors the primed log before the leader's first epoch
+  // compacts it away.
+  auto primed = (*follower)->SyncWithLeader(connect);
+  ASSERT_TRUE(primed.ok()) << primed.status().message();
+  ASSERT_EQ(primed->records_applied, 400u);
+
+  constexpr uint64_t kEpochs = 4;
+  gateway::TrainerLoop* trainer = (*leader)->trainer();
+  ASSERT_NE(trainer, nullptr);
+  uint64_t offered = 0;
+  for (size_t i = 0; i < kEpochs * server_options.retrain_after; ++i) {
+    gateway::Verdict verdict;
+    verdict.sensitive = true;
+    if (trainer->Offer(testing::GeneratePacket(&rng, tokens, 1.0), verdict)) {
+      ++offered;
+    }
+  }
+  ASSERT_EQ(offered, kEpochs * server_options.retrain_after);
+  ASSERT_TRUE(testing::WaitUntil([&] {
+    return trainer->items_processed() >= offered &&
+           (*leader)->epoch_version() >= kEpochs;
+  }));
+  ASSERT_TRUE((*leader)->store().Sync().ok());
+  obs::Registry* leader_metrics = (*leader)->registry();
+  EXPECT_EQ(leader_metrics->GetCounter("store.publish_records")->Value(),
+            kEpochs);
+  EXPECT_EQ(leader_metrics->GetCounter("store.checkpoints_written")->Value(),
+            0u);
+
+  auto sync = (*follower)->SyncWithLeader(connect);
+  ASSERT_TRUE(sync.ok()) << sync.status().message();
+  EXPECT_EQ(sync->records_applied, (*leader)->wal_last_sequence() - 400);
+  EXPECT_TRUE(sync->snapshot_installed);
+  // Every epoch's publish record arrived (plus the one the priming
+  // checkpoint logged alongside itself).
+  EXPECT_EQ((*follower)->registry()
+                ->GetCounter("store.publish_records")
+                ->Value(),
+            kEpochs + 1);
+
+  const std::string leader_feed =
+      (*leader)->gateway().current_set()->set().Serialize();
+  (*leader)->StopServing();
+
+  // A restarted follower serves the newest epoch its log holds before it
+  // talks to anyone, though its checkpoint predates every epoch.
+  (*follower)->StopServing();
+  follower = make_node(&follower_dir, "follower");
+  ASSERT_TRUE(follower.ok()) << follower.status().message();
+  EXPECT_EQ((*follower)->epoch_version(), kEpochs);
+
+  ASSERT_TRUE((*follower)->Promote().ok());
+  const store::StoreManager::RecoveryStats& recovery = (*follower)->recovery();
+  EXPECT_TRUE(recovery.snapshot_loaded);
+  EXPECT_GE(recovery.epochs_installed, 3u);
+  EXPECT_EQ(recovery.records_replayed, 0u);
+  EXPECT_EQ(recovery.epochs_retrained, 0u);
+  auto promoted_set = (*follower)->gateway().current_set();
+  ASSERT_NE(promoted_set, nullptr);
+  EXPECT_EQ(promoted_set->version(), kEpochs);
+  EXPECT_EQ(promoted_set->set().Serialize(), leader_feed);
+  (*follower)->StopServing();
+}
+
 }  // namespace
 }  // namespace leakdet

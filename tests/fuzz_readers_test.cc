@@ -17,6 +17,7 @@
 
 #include "cluster/replication.h"
 #include "federation/merge.h"
+#include "match/signature.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
 #include "test_seed.h"
@@ -270,6 +271,94 @@ TEST(FuzzWalFrames, SurvivesMutationsAndTruncationsOfValidFrames) {
     EXPECT_TRUE(end.code() == StatusCode::kNotFound ||
                 end.code() == StatusCode::kOutOfRange ||
                 end.code() == StatusCode::kCorruption)
+        << "cut=" << cut << ": " << end.ToString();
+  }
+}
+
+// A log mixing both record types: ingest 1, ingest 2, the publish record
+// for 2 (a real serialized signature set), ingest 3.
+std::string MixedFrames() {
+  std::string frames;
+  for (uint64_t sequence = 1; sequence <= 3; ++sequence) {
+    store::FeedRecord ingest;
+    ingest.sequence = sequence;
+    ingest.feed_version = 4;
+    ingest.packet.cookie = "uid=42";
+    ingest.packet.request_line = "GET /track?id=" + std::to_string(sequence);
+    frames += store::FrameRecord(ingest);
+    if (sequence != 2) continue;
+    match::ConjunctionSignature signature;
+    signature.id = "sig-0001";
+    signature.tokens = {"imei=", "&aid="};
+    signature.host_scope = "example.com";
+    signature.cluster_size = 7;
+    store::FeedRecord publish;
+    publish.type = store::RecordType::kPublish;
+    publish.sequence = sequence;
+    publish.feed_version = 5;
+    publish.new_suspicious = 3;
+    publish.signatures = match::SignatureSet({signature}).Serialize();
+    frames += store::FrameRecord(publish);
+  }
+  return frames;
+}
+
+TEST(FuzzWalFrames, PublishFramesRoundTripAndTravelWithTheirIngest) {
+  const std::string valid = MixedFrames();
+  store::RecordCursor cursor(valid);
+  std::vector<store::FeedRecord> records;
+  while (true) {
+    auto record = cursor.Next();
+    if (!record.ok()) {
+      EXPECT_EQ(record.status().code(), StatusCode::kNotFound);
+      break;
+    }
+    records.push_back(std::move(*record));
+  }
+  ASSERT_EQ(records.size(), 4u);
+  const store::FeedRecord& publish = records[2];
+  ASSERT_TRUE(publish.is_publish());
+  EXPECT_EQ(publish.sequence, 2u);
+  EXPECT_EQ(publish.feed_version, 5u);
+  EXPECT_EQ(publish.new_suspicious, 3u);
+  auto set = match::SignatureSet::Deserialize(publish.signatures);
+  ASSERT_TRUE(set.ok()) << set.status().message();
+  EXPECT_EQ(set->size(), 1u);
+
+  auto batch = cluster::ParseWalBatch(valid, 0);
+  ASSERT_TRUE(batch.ok()) << batch.status().message();
+  EXPECT_EQ(batch->records.size(), 4u);
+  EXPECT_EQ(batch->last_sequence, 3u);
+  // A publish record must follow its own ingest record in the batch.
+  EXPECT_FALSE(cluster::ParseWalBatch(store::FrameRecord(publish), 2).ok());
+  EXPECT_FALSE(cluster::ParseWalBatch(valid, 1).ok());
+}
+
+TEST(FuzzWalFrames, PublishFramesSurviveMutationsAndTruncations) {
+  const uint64_t seed = testing::TestSeed(0xFE0007);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  Rng rng(seed);
+  const std::string valid = MixedFrames();
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string mutated = valid;
+    mutated[rng.UniformInt(mutated.size())] ^=
+        static_cast<char>(1 + rng.UniformInt(255));
+    auto batch = cluster::ParseWalBatch(mutated, 0);
+    if (batch.ok()) {
+      EXPECT_LT(batch->records.size(), 4u) << "accepted a damaged batch";
+    } else {
+      ExpectCleanParseError(batch.status(), "mutated batch");
+    }
+    size_t records = 0;
+    Status end = DrainCursor(mutated, &records);
+    EXPECT_FALSE(end.ok());
+    EXPECT_LE(records, 4u);
+  }
+  for (size_t cut = 0; cut < valid.size(); ++cut) {
+    size_t records = 0;
+    Status end = DrainCursor(valid.substr(0, cut), &records);
+    EXPECT_TRUE(end.code() == StatusCode::kNotFound ||
+                end.code() == StatusCode::kOutOfRange)
         << "cut=" << cut << ": " << end.ToString();
   }
 }

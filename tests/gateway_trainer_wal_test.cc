@@ -30,6 +30,7 @@
 #include "core/signature_server.h"
 #include "gateway/gateway.h"
 #include "gateway/trainer.h"
+#include "obs/metrics.h"
 #include "store/store_manager.h"
 #include "testing/packet_gen.h"
 #include "testing/scripted_file.h"
@@ -51,6 +52,8 @@ class FailNextSyncDir final : public store::Dir {
 
   void FailNextSyncs(int n) { fail_next_.store(n); }
   int sync_failures() const { return injected_.load(); }
+  /// Fails every directory listing until cleared.
+  void FailLists(bool fail) { fail_lists_.store(fail); }
 
   StatusOr<std::unique_ptr<store::File>> OpenAppend(
       const std::string& path) override {
@@ -63,6 +66,7 @@ class FailNextSyncDir final : public store::Dir {
     return base_->Read(path);
   }
   StatusOr<std::vector<std::string>> List(const std::string& dirpath) override {
+    if (fail_lists_.load()) return Status::IOError("injected list failure");
     return base_->List(dirpath);
   }
   Status CreateDir(const std::string& dirpath) override {
@@ -114,6 +118,7 @@ class FailNextSyncDir final : public store::Dir {
   store::Dir* base_;
   std::atomic<int> fail_next_{0};
   std::atomic<int> injected_{0};
+  std::atomic<bool> fail_lists_{false};
 };
 
 core::SignatureServer::Options TinyServerOptions() {
@@ -223,6 +228,49 @@ TEST(TrainerWalSyncTest, SuccessfulSnapshotMakesRecordDurable) {
   EXPECT_EQ((*store)->durable_sequence(), 1u);
 
   trainer.Stop();
+}
+
+// The regression: TrainerLoop::Train dropped Compact()'s status and nothing
+// counted the failure. A compaction that cannot list the directory now shows
+// in store.compact_errors, and the epoch itself stays persisted.
+TEST(TrainerCompactTest, CompactFailureIsCounted) {
+  ScriptedDir base;
+  FailNextSyncDir dir(&base);
+  obs::Registry registry;
+  store::StoreOptions store_options;
+  store_options.registry = &registry;
+  auto store = store::StoreManager::Open(&dir, "data", store_options);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+
+  Rng rng(7);
+  core::DeviceTokens device;
+  device.android_id = rng.RandomHex(16);
+  core::PayloadCheck oracle(std::vector<core::DeviceTokens>{device});
+  std::vector<std::string> tokens{device.android_id};
+
+  core::SignatureServer server(&oracle, TinyServerOptions());
+  GatewayOptions gateway_options;
+  gateway_options.num_shards = 1;
+  DetectionGateway gateway(gateway_options);
+  TrainerOptions trainer_options;
+  trainer_options.store = store->get();
+  TrainerLoop trainer(&server, &gateway, trainer_options);
+  ASSERT_TRUE(trainer.Start().ok());
+
+  // The first epoch writes the first checkpoint, so its compaction is due.
+  dir.FailLists(true);
+  Verdict verdict;
+  verdict.sensitive = true;
+  ASSERT_TRUE(trainer.Offer(GeneratePacket(&rng, tokens, 1.0), verdict));
+  WaitForProcessed(trainer, 1);
+  trainer.Stop();
+  dir.FailLists(false);
+
+  EXPECT_EQ(registry.GetCounter("store.compact_errors")->Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("store.compactions")->Value(), 0u);
+  EXPECT_EQ(registry.GetCounter("store.checkpoints_written")->Value(), 1u);
+  EXPECT_EQ(
+      gateway.metrics()->GetCounter("trainer.snapshots", {})->Value(), 1u);
 }
 
 // The regression: an append failure (injected through the store::Dir seam)

@@ -21,6 +21,7 @@
 
 #include "core/payload_check.h"
 #include "core/signature_server.h"
+#include "obs/metrics.h"
 #include "store/store_manager.h"
 #include "testing/packet_gen.h"
 #include "util/rng.h"
@@ -80,16 +81,32 @@ StoreOptions TestStoreOptions() {
   return options;
 }
 
+/// Where a child kills itself, instead of waiting for the parent's SIGKILL.
+/// Both points lie past two publish records beyond the newest checkpoint,
+/// so the recovery that follows must install logged epochs.
+enum class SelfKill {
+  kNever,
+  kAfterPublish,   ///< right after the second such publish record
+  kBeforePublish,  ///< after the next retrain, before its publish record
+};
+
 /// Child body: recover, resume the tape, report progress forever (the
 /// parent kills us). Uses only async-signal-unsafe-free reporting (write).
-[[noreturn]] void RunChild(const std::string& data_dir, int report_fd) {
+[[noreturn]] void RunChild(const std::string& data_dir, int report_fd,
+                           SelfKill self_kill) {
   World world;
-  auto store = StoreManager::Open(Dir::Real(), data_dir, TestStoreOptions());
+  obs::Registry registry;
+  StoreOptions options = TestStoreOptions();
+  options.registry = &registry;
+  obs::Counter* checkpoints = registry.GetCounter("store.checkpoints_written");
+  obs::Counter* publishes = registry.GetCounter("store.publish_records");
+  auto store = StoreManager::Open(Dir::Real(), data_dir, options);
   if (!store.ok()) _exit(10);
   core::SignatureServer server(world.oracle.get(), SmallServerOptions());
   if (!(*store)->Recover(&server).ok()) _exit(11);
   size_t cursor = static_cast<size_t>((*store)->last_sequence());
   if (cursor > world.tape.size()) _exit(12);
+  uint64_t past_checkpoint = 0;  // publish records past the newest one
   while (cursor < world.tape.size()) {
     FeedRecord record;
     record.feed_version = server.feed_version();
@@ -99,8 +116,21 @@ StoreOptions TestStoreOptions() {
     server.Ingest(world.tape[cursor]);
     ++cursor;
     if (server.feed_version() != before) {
+      if (self_kill == SelfKill::kBeforePublish && past_checkpoint >= 2) {
+        kill(getpid(), SIGKILL);
+      }
+      const uint64_t checkpoints_before = checkpoints->Value();
+      const uint64_t publishes_before = publishes->Value();
       if ((*store)->WriteSnapshot(server).ok()) {
         (void)(*store)->Compact();
+      }
+      if (checkpoints->Value() != checkpoints_before) {
+        past_checkpoint = 0;
+      } else if (publishes->Value() != publishes_before) {
+        ++past_checkpoint;
+      }
+      if (self_kill == SelfKill::kAfterPublish && past_checkpoint >= 2) {
+        kill(getpid(), SIGKILL);
       }
     }
     Progress progress{(*store)->durable_sequence(), server.feed_version()};
@@ -134,14 +164,15 @@ class StoreKillRecoverTest : public ::testing::Test {
   /// Forks a child run and SIGKILLs it once the parent has seen at least
   /// `min_reports` progress reports (or lets it finish if the tape runs
   /// out). Returns the last progress the child acknowledged.
-  Progress RunAndKill(size_t min_reports) {
+  Progress RunAndKill(size_t min_reports,
+                      SelfKill self_kill = SelfKill::kNever) {
     int pipe_fds[2];
     EXPECT_EQ(pipe(pipe_fds), 0);
     pid_t pid = fork();
     EXPECT_GE(pid, 0);
     if (pid == 0) {
       close(pipe_fds[0]);
-      RunChild(data_dir_, pipe_fds[1]);  // never returns
+      RunChild(data_dir_, pipe_fds[1], self_kill);  // never returns
     }
     close(pipe_fds[1]);
 
@@ -173,8 +204,109 @@ class StoreKillRecoverTest : public ::testing::Test {
     return last;
   }
 
+  /// Recovers the data directory in-process and checks the result against
+  /// a never-crashed server fed the same prefix of the tape.
+  StoreManager::RecoveryStats RecoverAndCompare(const World& world) {
+    auto store =
+        StoreManager::Open(Dir::Real(), data_dir_, TestStoreOptions());
+    EXPECT_TRUE(store.ok()) << store.status().message();
+    if (!store.ok()) return {};
+    core::SignatureServer recovered(world.oracle.get(), SmallServerOptions());
+    auto stats = (*store)->Recover(&recovered);
+    EXPECT_TRUE(stats.ok()) << stats.status().message();
+    if (!stats.ok()) return {};
+    core::SignatureServer oracle(world.oracle.get(), SmallServerOptions());
+    for (uint64_t i = 0; i < (*store)->last_sequence(); ++i) {
+      oracle.Ingest(world.tape[i]);
+    }
+    EXPECT_EQ(recovered.feed_version(), oracle.feed_version());
+    EXPECT_EQ(recovered.Feed(), oracle.Feed());
+    EXPECT_EQ(recovered.new_suspicious(), oracle.new_suspicious());
+    EXPECT_TRUE(recovered.suspicious_pool() == oracle.suspicious_pool());
+    EXPECT_TRUE(recovered.normal_pool() == oracle.normal_pool());
+    return *stats;
+  }
+
+  /// Damages the log's last record, which must be a publish record: cuts
+  /// the newest segment in the middle of it, and with `flip` writes the cut
+  /// half back with one bit flipped.
+  void DamageLastPublishRecord(bool flip) {
+    auto names = Dir::Real()->List(data_dir_);
+    ASSERT_TRUE(names.ok());
+    std::string newest;
+    uint64_t newest_id = 0, id = 0;
+    for (const std::string& name : *names) {
+      if (ParseSegmentFileName(name, &id) && id >= newest_id) {
+        newest_id = id;
+        newest = data_dir_ + "/" + name;
+      }
+    }
+    ASSERT_FALSE(newest.empty());
+    auto data = Dir::Real()->Read(newest);
+    ASSERT_TRUE(data.ok());
+    RecordCursor cursor(*data);
+    size_t last_start = 0;
+    bool last_is_publish = false;
+    while (true) {
+      const size_t start = cursor.offset();
+      auto record = cursor.Next();
+      if (!record.ok()) break;
+      last_start = start;
+      last_is_publish = record->is_publish();
+    }
+    ASSERT_TRUE(last_is_publish) << "the kill did not follow a publish";
+    ASSERT_EQ(cursor.offset(), data->size());
+    const size_t middle = (last_start + data->size()) / 2;
+    ASSERT_TRUE(Dir::Real()->Truncate(newest, middle).ok());
+    if (!flip) return;
+    std::string tail = data->substr(middle);
+    tail[0] ^= 0x08;
+    auto file = Dir::Real()->OpenAppend(newest);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Append(tail).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+
   std::string data_dir_;
 };
+
+TEST_F(StoreKillRecoverTest, KillPastCheckpointInstallsLoggedEpochs) {
+  World world;
+  RunAndKill(kTapeLength * 2, SelfKill::kAfterPublish);
+  StoreManager::RecoveryStats stats = RecoverAndCompare(world);
+  EXPECT_GE(stats.epochs_installed, 2u);
+  EXPECT_EQ(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 0u);
+}
+
+TEST_F(StoreKillRecoverTest, KillBetweenIngestAndPublishRetrainsThatEpoch) {
+  World world;
+  RunAndKill(kTapeLength * 2, SelfKill::kBeforePublish);
+  StoreManager::RecoveryStats stats = RecoverAndCompare(world);
+  EXPECT_GE(stats.epochs_installed, 2u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
+}
+
+TEST_F(StoreKillRecoverTest, TornPublishTailRetrainsOnlyItsEpoch) {
+  World world;
+  RunAndKill(kTapeLength * 2, SelfKill::kAfterPublish);
+  DamageLastPublishRecord(/*flip=*/false);
+  StoreManager::RecoveryStats stats = RecoverAndCompare(world);
+  EXPECT_GT(stats.epochs_installed, 0u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
+}
+
+TEST_F(StoreKillRecoverTest, FlippedPublishRecordRetrainsOnlyItsEpoch) {
+  World world;
+  RunAndKill(kTapeLength * 2, SelfKill::kAfterPublish);
+  DamageLastPublishRecord(/*flip=*/true);
+  StoreManager::RecoveryStats stats = RecoverAndCompare(world);
+  EXPECT_GT(stats.epochs_installed, 0u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
+}
 
 TEST_F(StoreKillRecoverTest, NoAcknowledgedRecordLostAcrossKills) {
   World world;

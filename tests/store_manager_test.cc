@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/payload_check.h"
+#include "obs/metrics.h"
 #include "testing/packet_gen.h"
 #include "testing/scripted_file.h"
 #include "util/rng.h"
@@ -168,6 +169,184 @@ TEST(StoreManagerTest, CompactRetiresFoldedSegmentsAndOldSnapshots) {
   ASSERT_TRUE((*store2)->Recover(&recovered).ok());
   EXPECT_EQ(recovered.feed_version(), server.feed_version());
   EXPECT_EQ(recovered.Feed(), server.Feed());
+}
+
+// Between checkpoints an epoch costs one publish record: the full snapshot is
+// rewritten only once the log has grown as large as the newest checkpoint,
+// and recovery installs the logged epochs instead of retraining them.
+TEST(StoreManagerTest, CheckpointsOnlyWhenTheLogOutgrowsTheLast) {
+  ScriptedDir dir;
+  World world;
+  obs::Registry registry;
+  StoreOptions options;
+  options.registry = &registry;
+  core::SignatureServer server(world.oracle.get(), world.ServerOptions());
+  auto store = StoreManager::Open(&dir, "data", options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Recover(&server).ok());
+  obs::Counter* checkpoints = registry.GetCounter("store.checkpoints_written");
+  obs::Counter* publishes = registry.GetCounter("store.publish_records");
+  uint64_t epochs_since_checkpoint = 0;
+  // At least 200 packets, ending with an epoch past the newest checkpoint.
+  for (int i = 0; i < 2000 && (i < 200 || epochs_since_checkpoint == 0);
+       ++i) {
+    const uint64_t checkpoints_before = checkpoints->Value();
+    const uint64_t publishes_before = publishes->Value();
+    FeedOne(store->get(), &server, world.Packet(0.6));
+    if (checkpoints->Value() != checkpoints_before) {
+      epochs_since_checkpoint = 0;
+      // The rule's own bookkeeping restarts with every checkpoint.
+      EXPECT_EQ(
+          registry.GetGauge("store.wal_bytes_since_checkpoint")->Value(), 0);
+    } else if (publishes->Value() != publishes_before) {
+      ++epochs_since_checkpoint;
+    }
+  }
+  ASSERT_TRUE((*store)->Sync().ok());
+  const uint64_t epochs = server.feed_version();
+  ASSERT_GT(epochs, 5u) << "world too small";
+  // Every epoch logged a publish record; checkpoints thin out as the pools
+  // (and so the checkpoints) grow.
+  EXPECT_EQ(publishes->Value(), epochs);
+  EXPECT_GE(checkpoints->Value(), 1u);
+  EXPECT_LT(checkpoints->Value(), epochs / 2);
+  ASSERT_GT(epochs_since_checkpoint, 0u) << "need epochs past the checkpoint";
+
+  core::SignatureServer recovered(world.oracle.get(), world.ServerOptions());
+  uint64_t observed = 0;
+  recovered.SetFeedObserver(
+      [&](uint64_t, const match::SignatureSet&) { ++observed; });
+  auto store2 = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(store2.ok());
+  auto stats = (*store2)->Recover(&recovered);
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats->epochs_installed, epochs_since_checkpoint);
+  EXPECT_EQ(stats->epochs_retrained, 0u);
+  // The checkpoint's epoch, then the newest logged one: nothing in between.
+  EXPECT_EQ(observed, 2u);
+  EXPECT_EQ(recovered.feed_version(), server.feed_version());
+  EXPECT_EQ(recovered.Feed(), server.Feed());
+  EXPECT_EQ(recovered.new_suspicious(), server.new_suspicious());
+  EXPECT_TRUE(recovered.suspicious_pool() == server.suspicious_pool());
+  EXPECT_TRUE(recovered.normal_pool() == server.normal_pool());
+}
+
+// The CLI's PersistFederatedFeed flow: recover a lineage, Restore() a new
+// epoch with empty pools, persist it. The log does not describe that state,
+// so it must be checkpointed: a publish record alone would recover the old
+// pools under the new feed.
+TEST(StoreManagerTest, OutOfBandRestoreIsCheckpointed) {
+  ScriptedDir dir;
+  World world;
+  {
+    core::SignatureServer server(world.oracle.get(), world.ServerOptions());
+    auto store = StoreManager::Open(&dir, "data", StoreOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Recover(&server).ok());
+    for (int i = 0; i < 80; ++i) {
+      FeedOne(store->get(), &server, world.Packet(0.6));
+    }
+    ASSERT_GT(server.feed_version(), 0u);
+  }
+
+  core::SignatureServer server(world.oracle.get(), world.ServerOptions());
+  auto store = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Recover(&server).ok());
+  ASSERT_GT(server.suspicious_pool_size(), 0u);
+  core::SignatureServer::State state;
+  state.feed_version = server.feed_version() + 1;
+  server.Restore(std::move(state));
+  ASSERT_TRUE((*store)->WriteSnapshot(server).ok());
+  store->reset();
+
+  core::SignatureServer recovered(world.oracle.get(), world.ServerOptions());
+  auto store2 = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(store2.ok());
+  auto stats = (*store2)->Recover(&recovered);
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats->snapshot_version, server.feed_version());
+  EXPECT_EQ(recovered.feed_version(), server.feed_version());
+  EXPECT_EQ(recovered.Feed(), server.Feed());
+  EXPECT_EQ(recovered.new_suspicious(), 0u);
+  EXPECT_TRUE(recovered.suspicious_pool().empty());
+  EXPECT_TRUE(recovered.normal_pool().empty());
+}
+
+// Compaction lists the directory only after a new checkpoint.
+TEST(StoreManagerTest, CompactRunsOnlyAfterACheckpoint) {
+  ScriptedDir dir;
+  World world;
+  obs::Registry registry;
+  StoreOptions options;
+  options.registry = &registry;
+  core::SignatureServer server(world.oracle.get(), world.ServerOptions());
+  auto store = StoreManager::Open(&dir, "data", options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Recover(&server).ok());
+  while (server.feed_version() == 0) {
+    FeedOne(store->get(), &server, world.Packet(0.6));
+  }
+  obs::Counter* compactions = registry.GetCounter("store.compactions");
+  EXPECT_EQ(compactions->Value(), 1u);  // after the first checkpoint
+  // Nothing new to fold: no directory pass.
+  ASSERT_TRUE((*store)->Compact().ok());
+  EXPECT_EQ(compactions->Value(), 1u);
+
+  // A new checkpoint (forced by an out-of-band Restore) makes it due again.
+  core::SignatureServer::State state;
+  server.Restore(std::move(state));
+  ASSERT_TRUE((*store)->WriteSnapshot(server).ok());
+  EXPECT_EQ(registry.GetCounter("store.checkpoints_written")->Value(), 2u);
+  ASSERT_TRUE((*store)->Compact().ok());
+  EXPECT_EQ(compactions->Value(), 2u);
+}
+
+// The regression: a maintenance compaction right after a clean stop folds
+// every segment into the newest checkpoint, leaving only the empty segment
+// that open created. The next open found no records and restarted the
+// sequence at 1, so recovery (which replays only past the checkpoint)
+// silently dropped everything logged afterwards.
+TEST(StoreManagerTest, SequenceResumesPastACheckpointThatFoldedTheWholeLog) {
+  ScriptedDir dir;
+  World world;
+  core::SignatureServer server(world.oracle.get(), world.ServerOptions());
+  {
+    auto store = StoreManager::Open(&dir, "data", StoreOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Recover(&server).ok());
+    // The first epoch checkpoints at the log's last record.
+    while (server.feed_version() == 0) {
+      FeedOne(store->get(), &server, world.Packet(0.6));
+    }
+  }
+  const uint64_t covered = [&] {
+    auto store = StoreManager::Open(&dir, "data", StoreOptions());
+    EXPECT_TRUE(store.ok());
+    auto compacted = (*store)->Compact();
+    EXPECT_TRUE(compacted.ok());
+    EXPECT_GT(compacted->segments_removed, 0u);
+    return (*store)->last_sequence();
+  }();
+  ASSERT_GT(covered, 0u);
+
+  auto store = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ((*store)->last_sequence(), covered);
+  core::SignatureServer recovered(world.oracle.get(), world.ServerOptions());
+  ASSERT_TRUE((*store)->Recover(&recovered).ok());
+  const core::HttpPacket packet = world.Packet(0.0);
+  FeedOne(store->get(), &recovered, packet);
+  ASSERT_TRUE((*store)->Sync().ok());
+  store->reset();
+
+  core::SignatureServer again(world.oracle.get(), world.ServerOptions());
+  auto reopened = StoreManager::Open(&dir, "data", StoreOptions());
+  ASSERT_TRUE(reopened.ok());
+  auto stats = (*reopened)->Recover(&again);
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  EXPECT_EQ(stats->records_replayed, 1u);
+  EXPECT_TRUE(again.normal_pool() == recovered.normal_pool());
 }
 
 TEST(StoreManagerTest, GapBetweenSnapshotAndLogIsCorruption) {

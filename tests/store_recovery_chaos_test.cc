@@ -13,6 +13,7 @@
 
 #include "core/payload_check.h"
 #include "core/signature_server.h"
+#include "obs/metrics.h"
 #include "store/snapshot.h"
 #include "store/store_manager.h"
 #include "testing/packet_gen.h"
@@ -237,6 +238,172 @@ TEST(StoreRecoveryChaosTest, SchedulesReplayDeterministically) {
   RunResult b = RunSchedule(47, profile, {25, 60});
   EXPECT_EQ(a.crashes_executed, b.crashes_executed);
   EXPECT_EQ(a.final_version, b.final_version);
+}
+
+// ---------------------------------------------------------------------------
+// Crashes inside the publish-record window: past the newest checkpoint the
+// log holds publish records, and recovery installs the last one instead of
+// retraining. Each schedule crashes once at least two publish records lie
+// past the newest checkpoint, so recovery must take that path.
+
+enum class PublishCrash {
+  kClean,           ///< crash right after a publish record
+  kTornPublish,     ///< ...and cut the log inside that publish record
+  kFlippedPublish,  ///< ...and flip a bit inside that publish record
+  kBeforePublish,   ///< crash after an ingest retrained, before its publish
+};
+
+/// The newest WAL segment's path under "data".
+std::string NewestSegment(ScriptedDir* dir) {
+  auto names = dir->List("data");
+  EXPECT_TRUE(names.ok());
+  std::string newest;
+  uint64_t newest_id = 0, id = 0;
+  for (const std::string& name : *names) {
+    if (ParseSegmentFileName(name, &id) && id >= newest_id) {
+      newest_id = id;
+      newest = name;
+    }
+  }
+  return "data/" + newest;
+}
+
+/// Runs a 240-packet tape through a store-backed server (every record
+/// synced, so a crash keeps every ingest record), crashes once as `kind`
+/// says, recovers, checks the recovered state against the no-crash oracle,
+/// then finishes the tape and checks again. Returns the crash's recovery.
+StoreManager::RecoveryStats RunPublishCrash(uint64_t seed, PublishCrash kind) {
+  World world(seed);
+  std::vector<core::HttpPacket> packets;
+  Rng traffic_rng(seed * 977 + 1);
+  for (int i = 0; i < 240; ++i) {
+    packets.push_back(GeneratePacket(&traffic_rng, world.tokens, 0.6));
+  }
+  ScriptedDir dir(seed);
+  StoreOptions options;
+  options.wal.sync_policy = SyncPolicy::kEveryRecord;
+  options.wal.segment_bytes = 2048;
+  obs::Registry registry;
+  options.registry = &registry;
+  obs::Counter* checkpoints = registry.GetCounter("store.checkpoints_written");
+  obs::Counter* publishes = registry.GetCounter("store.publish_records");
+
+  StoreManager::RecoveryStats crash_recovery;
+  bool crashed = false;
+  size_t cursor = 0;
+  while (true) {
+    auto opened = StoreManager::Open(&dir, "data", options);
+    EXPECT_TRUE(opened.ok()) << opened.status().message();
+    if (!opened.ok()) return crash_recovery;
+    std::unique_ptr<StoreManager> store = std::move(*opened);
+    core::SignatureServer server(world.oracle.get(), SmallServerOptions());
+    auto recovery = store->Recover(&server);
+    EXPECT_TRUE(recovery.ok()) << recovery.status().message();
+    if (!recovery.ok()) return crash_recovery;
+    cursor = static_cast<size_t>(store->last_sequence());
+    EXPECT_EQ(StateString(server), OracleStateAt(&world, packets, cursor))
+        << "recovered state diverged at sequence " << cursor;
+    if (crashed) crash_recovery = *recovery;
+
+    uint64_t past_checkpoint = 0;  // publish records past the newest one
+    bool crash_now = false;
+    std::string torn_frame;  // the publish record the crash then damages
+    while (cursor < packets.size() && !crash_now) {
+      FeedRecord record;
+      record.feed_version = server.feed_version();
+      record.packet = packets[cursor];
+      EXPECT_TRUE(store->Append(std::move(record)).ok());
+      uint64_t before = server.feed_version();
+      server.Ingest(packets[cursor]);
+      ++cursor;
+      if (server.feed_version() == before) continue;
+      if (!crashed && kind == PublishCrash::kBeforePublish &&
+          past_checkpoint >= 2) {
+        crash_now = true;
+        break;
+      }
+      const uint64_t checkpoints_before = checkpoints->Value();
+      const uint64_t publishes_before = publishes->Value();
+      EXPECT_TRUE(store->WriteSnapshot(server).ok());
+      EXPECT_TRUE(store->Compact().ok());
+      if (checkpoints->Value() != checkpoints_before) {
+        past_checkpoint = 0;
+      } else if (publishes->Value() != publishes_before) {
+        ++past_checkpoint;
+      }
+      if (!crashed && kind != PublishCrash::kBeforePublish &&
+          past_checkpoint >= 2) {
+        crash_now = true;
+        FeedRecord publish;
+        publish.type = RecordType::kPublish;
+        publish.sequence = store->last_sequence();
+        publish.feed_version = server.feed_version();
+        publish.new_suspicious = server.new_suspicious();
+        publish.signatures = server.Feed();
+        torn_frame = FrameRecord(publish);
+      }
+    }
+    if (!crash_now) {
+      EXPECT_TRUE(crashed) << "the tape never reached the crash point";
+      EXPECT_EQ(StateString(server),
+                OracleStateAt(&world, packets, packets.size()));
+      return crash_recovery;
+    }
+
+    store.reset();
+    dir.Crash();
+    crashed = true;
+    if (kind == PublishCrash::kTornPublish ||
+        kind == PublishCrash::kFlippedPublish) {
+      // The publish record is the log's last frame; damage its middle.
+      const std::string path = NewestSegment(&dir);
+      auto data = dir.Read(path);
+      EXPECT_TRUE(data.ok());
+      EXPECT_GE(data->size(), torn_frame.size());
+      EXPECT_EQ(data->substr(data->size() - torn_frame.size()), torn_frame);
+      const size_t middle = data->size() - torn_frame.size() / 2;
+      EXPECT_TRUE(dir.Truncate(path, middle).ok());
+      if (kind == PublishCrash::kFlippedPublish) {
+        std::string tail = data->substr(middle);
+        tail[0] ^= 0x20;
+        auto file = dir.OpenAppend(path);
+        EXPECT_TRUE(file.ok());
+        EXPECT_TRUE((*file)->Append(tail).ok());
+        EXPECT_TRUE((*file)->Sync().ok());
+      }
+    }
+  }
+}
+
+TEST(StoreRecoveryChaosTest, CrashPastCheckpointInstallsLoggedEpochs) {
+  StoreManager::RecoveryStats stats = RunPublishCrash(61, PublishCrash::kClean);
+  EXPECT_GE(stats.epochs_installed, 2u);
+  EXPECT_EQ(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 0u);
+}
+
+TEST(StoreRecoveryChaosTest, TornPublishRecordRetrainsOnlyItsEpoch) {
+  StoreManager::RecoveryStats stats =
+      RunPublishCrash(62, PublishCrash::kTornPublish);
+  EXPECT_GT(stats.epochs_installed, 0u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
+}
+
+TEST(StoreRecoveryChaosTest, FlippedPublishRecordRetrainsOnlyItsEpoch) {
+  StoreManager::RecoveryStats stats =
+      RunPublishCrash(63, PublishCrash::kFlippedPublish);
+  EXPECT_GT(stats.epochs_installed, 0u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
+}
+
+TEST(StoreRecoveryChaosTest, CrashBetweenIngestAndPublishRetrainsThatEpoch) {
+  StoreManager::RecoveryStats stats =
+      RunPublishCrash(64, PublishCrash::kBeforePublish);
+  EXPECT_GE(stats.epochs_installed, 2u);
+  EXPECT_GT(stats.records_replayed, 0u);
+  EXPECT_EQ(stats.epochs_retrained, 1u);
 }
 
 }  // namespace

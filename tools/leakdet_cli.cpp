@@ -50,7 +50,7 @@
 //
 // `train` streams the trace through the online SignatureServer. With
 // --data-dir every packet is WAL-logged before ingestion and every published
-// epoch is snapshotted, so a killed run resumes exactly where the log ends —
+// epoch is logged too, so a killed run resumes exactly where the log ends —
 // rerun the same command and it recovers, replays, and continues.
 //
 // Exit status: 0 on success, 1 on any error (message on stderr).
@@ -715,10 +715,11 @@ int CmdTrain(const Args& args) {
                   std::to_string(packets->size()) + " packets");
     }
     if (recovery->snapshot_loaded || recovery->replay.applied > 0) {
-      std::printf("recovered: snapshot v%llu, %llu records replayed, "
-                  "resuming at packet %zu\n",
+      std::printf("recovered: snapshot v%llu, %llu logged epochs installed, "
+                  "%llu records replayed, resuming at packet %zu\n",
                   static_cast<unsigned long long>(recovery->snapshot_version),
-                  static_cast<unsigned long long>(recovery->replay.applied),
+                  static_cast<unsigned long long>(recovery->epochs_installed),
+                  static_cast<unsigned long long>(recovery->records_replayed),
                   resume);
     }
   }

@@ -3,11 +3,12 @@
 //
 //   leakdet_store inspect --data-dir DIR
 //       Lists every snapshot (version, covered sequence, digest status) and
-//       WAL segment (record count, sequence range, torn bytes), plus the
-//       recovery point an open would use. Read-only.
+//       WAL segment (record count, publish records, sequence range, torn
+//       bytes), plus the recovery point an open would use. Read-only.
 //
 //   leakdet_store verify  --data-dir DIR
-//       Full integrity pass: CRC-checks every record, digest-checks every
+//       Full integrity pass: CRC-checks every record, checks that every
+//       publish record's feed parses as a signature set, digest-checks every
 //       snapshot, verifies sequence contiguity and the snapshot-to-log
 //       handoff. Read-only; exit 1 if recovery would lose anything.
 //
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "federation/tenant_store.h"
+#include "match/signature.h"
 #include "store/snapshot.h"
 #include "store/store_manager.h"
 #include "store/wal.h"
@@ -105,8 +107,11 @@ std::string ResolveDataDir(const Args& args) {
 struct SegmentReport {
   uint64_t id = 0;
   uint64_t bytes = 0;
-  uint64_t records = 0;
-  uint64_t first_sequence = 0;
+  uint64_t records = 0;          ///< ingest records
+  uint64_t publish_records = 0;
+  uint64_t bad_publish_records = 0;  ///< feed does not parse
+  uint64_t newest_published_version = 0;
+  uint64_t first_sequence = 0;   ///< of the first ingest record
   uint64_t last_sequence = 0;
   uint64_t tail_bytes = 0;      ///< bytes past the last clean record
   bool tail_is_corrupt = false; ///< CRC/type damage rather than truncation
@@ -128,6 +133,14 @@ StatusOr<SegmentReport> ScanSegment(store::Dir* dir, const std::string& path,
             record.status().code() == StatusCode::kCorruption;
       }
       break;
+    }
+    if (record->is_publish()) {
+      ++report.publish_records;
+      report.newest_published_version = record->feed_version;
+      if (!match::SignatureSet::Deserialize(record->signatures).ok()) {
+        ++report.bad_publish_records;
+      }
+      continue;
     }
     if (report.records == 0) report.first_sequence = record->sequence;
     report.last_sequence = record->sequence;
@@ -186,6 +199,7 @@ StatusOr<StoreSurvey> Survey(store::Dir* dir, const std::string& data_dir) {
         (i + 1 != segment_names.size() || report.tail_is_corrupt)) {
       ++survey.problems;
     }
+    survey.problems += static_cast<int>(report.bad_publish_records);
     survey.segments.push_back(report);
   }
   // Sequence contiguity across the whole log.
@@ -223,11 +237,14 @@ int CmdInspect(const Args& args) {
   }
   std::printf("wal segments (%zu):\n", survey->segments.size());
   uint64_t records = 0;
+  uint64_t publish_records = 0;
+  uint64_t newest_published = 0;
   for (const SegmentReport& report : survey->segments) {
-    std::printf("  wal-%020llu.log  %8llu bytes  %6llu records",
+    std::printf("  wal-%020llu.log  %8llu bytes  %6llu records  %4llu publish",
                 static_cast<unsigned long long>(report.id),
                 static_cast<unsigned long long>(report.bytes),
-                static_cast<unsigned long long>(report.records));
+                static_cast<unsigned long long>(report.records),
+                static_cast<unsigned long long>(report.publish_records));
     if (report.records > 0) {
       std::printf("  seq %llu..%llu",
                   static_cast<unsigned long long>(report.first_sequence),
@@ -238,11 +255,25 @@ int CmdInspect(const Args& args) {
                   report.tail_is_corrupt ? "corrupt" : "torn",
                   static_cast<unsigned long long>(report.tail_bytes));
     }
+    if (report.bad_publish_records > 0) {
+      std::printf("  [%llu unparsable feed(s)]",
+                  static_cast<unsigned long long>(report.bad_publish_records));
+    }
     std::printf("\n");
     records += report.records;
+    publish_records += report.publish_records;
+    if (report.publish_records > 0) {
+      newest_published = report.newest_published_version;
+    }
   }
-  std::printf("total records: %llu\n",
-              static_cast<unsigned long long>(records));
+  std::printf("total records: %llu, publish records: %llu",
+              static_cast<unsigned long long>(records),
+              static_cast<unsigned long long>(publish_records));
+  if (publish_records > 0) {
+    std::printf(" (newest logged epoch v%llu)",
+                static_cast<unsigned long long>(newest_published));
+  }
+  std::printf("\n");
   if (survey->have_valid_snapshot) {
     std::printf("recovery point: snapshot v%llu @ seq %llu, then WAL replay\n",
                 static_cast<unsigned long long>(survey->newest_valid_version),
@@ -266,6 +297,13 @@ int CmdVerify(const Args& args) {
   }
   for (size_t i = 0; i < survey->segments.size(); ++i) {
     const SegmentReport& report = survey->segments[i];
+    if (report.bad_publish_records > 0) {
+      std::fprintf(stderr,
+                   "DAMAGE: wal-%020llu.log has %llu publish record(s) whose "
+                   "feed does not parse\n",
+                   static_cast<unsigned long long>(report.id),
+                   static_cast<unsigned long long>(report.bad_publish_records));
+    }
     if (report.tail_bytes > 0) {
       bool last = i + 1 == survey->segments.size();
       std::fprintf(stderr, "%s: wal-%020llu.log has %llu dirty tail bytes\n",

@@ -166,8 +166,8 @@ struct RawMerge {
   double height;
 };
 
-/// Shared agglomeration state: the full square working matrix over `n`
-/// position slots, with a cluster occupying the slot of its minimum leaf
+/// The NN-chain's agglomeration state: the full square working matrix over
+/// `n` position slots, with a cluster occupying the slot of its minimum leaf
 /// position (merges always fold the higher slot into the lower).
 struct Workspace {
   size_t n = 0;
@@ -190,9 +190,9 @@ struct Workspace {
   }
 
   /// Folds slot bj into slot bi (bi < bj): the Lance–Williams group-average
-  /// update. The expression is byte-for-byte the one the naive path uses
-  /// (wa is always the lower slot's size), so matching merge *trees* give
-  /// matching bits regardless of which code path performed the merge.
+  /// update. The expression is byte-for-byte the one the naive oracle uses
+  /// (wa is always the lower slot's size), so whenever the two build the
+  /// same merge *tree* they fold the same bits.
   void Fold(size_t bi, size_t bj) {
     double wa = static_cast<double>(size[bi]);
     double wb = static_cast<double>(size[bj]);
@@ -313,85 +313,6 @@ Dendrogram ClusterGroupAverage(const DistanceMatrix& distances) {
   std::vector<RawMerge> raw;
   raw.reserve(n - 1);
   NnChainMerges(&ws, &raw);
-  return FinalizeMerges(n, std::move(raw));
-}
-
-Dendrogram ClusterGroupAverageIncremental(
-    const DistanceMatrix& distances, const Dendrogram& previous,
-    const std::vector<int32_t>& old_to_new,
-    double drop_height_limit, IncrementalClusterStats* stats) {
-  const size_t n = distances.size();
-  assert(old_to_new.size() == previous.num_leaves());
-  if (stats != nullptr) *stats = IncrementalClusterStats{};
-  if (n == 0) return Dendrogram(0, {});
-  if (n == 1) return Dendrogram(1, {});
-
-  Workspace ws(distances);
-
-  // Positions not covered by old_to_new are the added points. The clean
-  // limit is the smallest distance any added point participates in, capped
-  // by the caller's dropped-point limit: below it, old and new greedy merge
-  // sequences provably coincide.
-  std::vector<bool> is_old(n, false);
-  for (int32_t pos : old_to_new) {
-    if (pos >= 0) {
-      assert(pos < static_cast<int32_t>(n) && !is_old[static_cast<size_t>(pos)]);
-      is_old[static_cast<size_t>(pos)] = true;
-    }
-  }
-  double limit = drop_height_limit;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (is_old[i] && is_old[j]) continue;
-      limit = std::min(limit, ws.d[i * n + j]);
-    }
-  }
-
-  // Replay the clean prefix of the previous dendrogram: every old merge
-  // strictly below the limit maps onto current position slots and folds
-  // with the identical Lance–Williams call a scratch run would make.
-  // slot_of[v] is the current slot of previous node v's cluster (-1 once a
-  // dropped leaf is involved — unreachable below the limit, but guarded).
-  std::vector<RawMerge> raw;
-  raw.reserve(n - 1);
-  std::vector<int32_t> slot_of(previous.num_leaves() +
-                               previous.merges().size());
-  for (size_t l = 0; l < previous.num_leaves(); ++l) {
-    slot_of[l] = old_to_new[l];
-  }
-  size_t replayed = 0;
-  const std::vector<MergeStep>& old_merges = previous.merges();
-  for (size_t k = 0; k < old_merges.size(); ++k) {
-    const MergeStep& m = old_merges[k];
-    if (!(m.height < limit)) break;
-    int32_t sa = slot_of[static_cast<size_t>(m.left)];
-    int32_t sb = slot_of[static_cast<size_t>(m.right)];
-    if (sa < 0 || sb < 0) break;  // dropped leaf below the limit: go dirty
-    size_t bi = static_cast<size_t>(std::min(sa, sb));
-    size_t bj = static_cast<size_t>(std::max(sa, sb));
-    // Carry the *recorded* height rather than the replayed working-matrix
-    // value: the two can differ in their last bits (the replay folds in
-    // sorted order, the original run folded in chain-discovery order, and
-    // Lance–Williams averages reassociate), and reusing the recorded value
-    // keeps old merge heights bit-stable across epochs — a pure replay
-    // returns the previous dendrogram exactly.
-    raw.push_back(
-        RawMerge{static_cast<int32_t>(bi), static_cast<int32_t>(bj), m.height});
-    ws.Fold(bi, bj);
-    slot_of[previous.num_leaves() + k] = static_cast<int32_t>(bi);
-    ++replayed;
-  }
-
-  // NN-chain over what is left: surviving old clusters plus every added
-  // point — the dirty region.
-  size_t before_dirty = raw.size();
-  NnChainMerges(&ws, &raw);
-
-  if (stats != nullptr) {
-    stats->replayed_merges = replayed;
-    stats->dirty_merges = raw.size() - before_dirty;
-    stats->clean_height_limit = limit;
-  }
   return FinalizeMerges(n, std::move(raw));
 }
 

@@ -68,48 +68,6 @@ Dendrogram ClusterGroupAverage(const DistanceMatrix& distances);
 /// training path.
 Dendrogram ClusterGroupAverageNaive(const DistanceMatrix& distances);
 
-/// What ClusterGroupAverageIncremental did (observability + tests).
-struct IncrementalClusterStats {
-  size_t replayed_merges = 0;  ///< old merges reused below the clean limit
-  size_t dirty_merges = 0;     ///< merges recomputed by the NN-chain
-  double clean_height_limit = 0;  ///< replay cutoff actually used
-};
-
-/// Incremental dendrogram maintenance: clusters the `distances` matrix by
-/// replaying the *clean prefix* of `previous` and running the NN-chain only
-/// on the dirty region, producing — for tie-free inputs — the same merge
-/// tree (identical left/right/size fields, identical flat cuts at every
-/// height) as ClusterGroupAverage(distances) from scratch. Heights agree up
-/// to floating-point reassociation, exactly as between the NN-chain and
-/// naive implementations: the replay folds in sorted order while a scratch
-/// chain folds in discovery order. Replayed merges keep the height recorded
-/// in `previous`, so a pure replay (no adds, no drops) returns the previous
-/// dendrogram bit-for-bit and old merge heights never drift across epochs.
-///
-/// `old_to_new[l]` maps leaf `l` of `previous` to its position in the new
-/// matrix, or -1 if that point was dropped from the sample. Surviving
-/// points must have unchanged pairwise distances (same packets, same
-/// metric — the caller resamples content, not the distance definition).
-///
-/// `drop_height_limit` caps the replay when points were dropped: pass the
-/// minimum distance from any dropped old point to any other old point
-/// (computed from the *previous* matrix), or +infinity when nothing was
-/// dropped. Internally the replay is further capped at the minimum distance
-/// involving any newly added position.
-///
-/// Why this is exact: group-average is reducible, so merge heights are
-/// monotone non-decreasing, and a merge among surviving points at height h
-/// cannot be affected by points (new or dropped) whose every distance is
-/// > h — below `min(added δ, dropped δ)` the old and new greedy merge
-/// sequences coincide. Replayed Lance–Williams folds use the identical
-/// operand assignment as a scratch run (the representative slot of a
-/// cluster is its minimum position), so the replayed working matrix agrees
-/// with the scratch one up to reassociation when the NN-chain takes over.
-Dendrogram ClusterGroupAverageIncremental(
-    const DistanceMatrix& distances, const Dendrogram& previous,
-    const std::vector<int32_t>& old_to_new, double drop_height_limit,
-    IncrementalClusterStats* stats = nullptr);
-
 }  // namespace leakdet::core
 
 #endif  // LEAKDET_CORE_HCLUSTER_H_

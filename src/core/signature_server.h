@@ -124,11 +124,12 @@ class SignatureServer {
 
   /// Replaces the training computation itself: when set, Retrain() calls the
   /// backend with the pools and the per-epoch options (feed_version already
-  /// stamped) instead of core::RunPipeline. This is how the gateway routes
-  /// retrains through train::IncrementalTrainer without core depending on
-  /// the store layer. The backend must be deterministic in its inputs: on
-  /// crash recovery the same pools and feed_version are replayed and the
-  /// published signatures must reproduce. Runs on the training thread.
+  /// stamped) instead of core::RunPipeline. It is a seam for tests and
+  /// benchmarks: a fake stands in for the pipeline, or a wrapper times each
+  /// retrain around RunPipeline. The backend must be deterministic in its
+  /// inputs: on crash recovery the same pools and feed_version are replayed
+  /// and the published signatures must reproduce. Runs on the training
+  /// thread.
   using TrainingBackend = std::function<StatusOr<PipelineResult>(
       const std::vector<HttpPacket>& suspicious,
       const std::vector<HttpPacket>& normal, const PipelineOptions& options)>;

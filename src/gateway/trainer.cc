@@ -3,8 +3,6 @@
 #include <chrono>
 #include <utility>
 
-#include "train/trainer.h"
-
 namespace leakdet::gateway {
 
 namespace {
@@ -50,24 +48,6 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
       metrics->GetHistogram("trainer.stage_distance_ns", labels);
   stage_cluster_ns_ = metrics->GetHistogram("trainer.stage_cluster_ns", labels);
   stage_siggen_ns_ = metrics->GetHistogram("trainer.stage_siggen_ns", labels);
-  if (options_.incremental != nullptr) {
-    dedup_ingested_ = metrics->GetCounter("trainer.dedup_ingested", labels);
-    dedup_duplicates_ = metrics->GetCounter("trainer.dedup_duplicates", labels);
-    dedup_distinct_ = metrics->GetGauge("trainer.dedup_distinct", labels);
-    tile_spill_tiles_computed_ =
-        metrics->GetCounter("trainer.tile_spill_tiles_computed", labels);
-    tile_spill_tiles_reused_ =
-        metrics->GetCounter("trainer.tile_spill_tiles_reused", labels);
-    tile_spill_bytes_written_ =
-        metrics->GetCounter("trainer.tile_spill_bytes_written", labels);
-    tile_spill_bytes_read_ =
-        metrics->GetCounter("trainer.tile_spill_bytes_read", labels);
-    cluster_merges_replayed_ =
-        metrics->GetCounter("trainer.cluster_merges_replayed", labels);
-    cluster_merges_dirty_ =
-        metrics->GetCounter("trainer.cluster_merges_dirty", labels);
-    server_->SetTrainingBackend(options_.incremental->Backend());
-  }
   // The publication hook: runs on this trainer's thread inside
   // Ingest()/Retrain(), immediately after the feed version advances.
   server_->SetFeedObserver(
@@ -96,7 +76,6 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
 TrainerLoop::~TrainerLoop() {
   Stop();
   server_->SetFeedObserver(nullptr);
-  if (options_.incremental != nullptr) server_->SetTrainingBackend(nullptr);
 }
 
 Status TrainerLoop::Start() {
@@ -220,7 +199,6 @@ void TrainerLoop::Train(const core::HttpPacket& packet,
   stage_distance_ns_->Observe(stats.distance_build_ns);
   stage_cluster_ns_->Observe(stats.cluster_ns);
   stage_siggen_ns_->Observe(stats.siggen_ns);
-  if (options_.incremental != nullptr) ExportEpochStats();
   // Persist the epoch that just published (a publish record in the WAL,
   // plus a checkpoint when one is due), then retire whatever a new
   // checkpoint made redundant.
@@ -239,19 +217,6 @@ void TrainerLoop::Train(const core::HttpPacket& packet,
   } else {
     snapshot_errors_->Inc();
   }
-}
-
-void TrainerLoop::ExportEpochStats() {
-  const train::EpochStats& epoch = options_.incremental->last_epoch();
-  dedup_ingested_->Inc(epoch.ingested);
-  dedup_duplicates_->Inc(epoch.duplicates);
-  dedup_distinct_->Set(static_cast<int64_t>(epoch.distinct));
-  tile_spill_tiles_computed_->Inc(epoch.tiles.tiles_computed);
-  tile_spill_tiles_reused_->Inc(epoch.tiles.tiles_reused);
-  tile_spill_bytes_written_->Inc(epoch.tiles.spill_bytes_written);
-  tile_spill_bytes_read_->Inc(epoch.tiles.spill_bytes_read);
-  cluster_merges_replayed_->Inc(epoch.cluster.replayed_merges);
-  cluster_merges_dirty_->Inc(epoch.cluster.dirty_merges);
 }
 
 }  // namespace leakdet::gateway

@@ -17,10 +17,6 @@
 #include "store/store_manager.h"
 #include "util/statusor.h"
 
-namespace leakdet::train {
-class IncrementalTrainer;
-}  // namespace leakdet::train
-
 namespace leakdet::gateway {
 
 struct TrainerOptions {
@@ -47,12 +43,6 @@ struct TrainerOptions {
   /// with {tenant=<name>}, so multiple tenant trainers can share one
   /// gateway and one registry without colliding.
   std::string tenant;
-  /// Optional incremental, out-of-core training backend (not owned; must
-  /// outlive the trainer). When set, the trainer routes every retrain
-  /// through it (SignatureServer::SetTrainingBackend) and exports its
-  /// trainer.dedup_* / trainer.tile_spill_* epoch metrics after each
-  /// retrain. When null, retrains run the core pipeline in memory.
-  train::IncrementalTrainer* incremental = nullptr;
 };
 
 /// The single training thread behind the gateway: drains (packet, verdict)
@@ -132,10 +122,6 @@ class TrainerLoop {
   /// retrain and persists the epoch. Training thread.
   void Train(const core::HttpPacket& packet, uint64_t* appends_unflushed);
 
-  /// Folds the incremental backend's last-epoch stats into the trainer.*
-  /// metric families. Training thread, right after a retrain.
-  void ExportEpochStats();
-
   core::SignatureServer* server_;
   DetectionGateway* gateway_;
   TrainerOptions options_;
@@ -175,17 +161,6 @@ class TrainerLoop {
   Histogram* stage_distance_ns_ = nullptr;
   Histogram* stage_cluster_ns_ = nullptr;
   Histogram* stage_siggen_ns_ = nullptr;
-  // Incremental-backend families, registered only when options_.incremental
-  // is set (see OBSERVABILITY.md).
-  Counter* dedup_ingested_ = nullptr;
-  Counter* dedup_duplicates_ = nullptr;
-  Gauge* dedup_distinct_ = nullptr;
-  Counter* tile_spill_tiles_computed_ = nullptr;
-  Counter* tile_spill_tiles_reused_ = nullptr;
-  Counter* tile_spill_bytes_written_ = nullptr;
-  Counter* tile_spill_bytes_read_ = nullptr;
-  Counter* cluster_merges_replayed_ = nullptr;
-  Counter* cluster_merges_dirty_ = nullptr;
 };
 
 }  // namespace leakdet::gateway

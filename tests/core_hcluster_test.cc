@@ -189,217 +189,5 @@ TEST(DendrogramTest, MergeSizesAccumulate) {
   (void)total_leaf_draws;
 }
 
-// ---------------------------------------------------------------------------
-// ClusterGroupAverageIncremental: randomized differential tests against the
-// from-scratch implementation. Random real-valued matrices are tie-free with
-// probability 1, where the incremental result is bit-identical.
-
-/// Same merge tree, and heights equal up to floating-point reassociation
-/// (replay folds in sorted order, a scratch chain in discovery order — the
-/// same tolerance the NN-chain-vs-naive equivalence tests use). Tie-free
-/// inputs make the merge tree unique, so left/right/size compare exactly.
-void ExpectSameDendrogram(const Dendrogram& got, const Dendrogram& want) {
-  ASSERT_EQ(got.num_leaves(), want.num_leaves());
-  ASSERT_EQ(got.merges().size(), want.merges().size());
-  for (size_t k = 0; k < want.merges().size(); ++k) {
-    EXPECT_NEAR(got.merges()[k].height, want.merges()[k].height, 1e-9)
-        << "height diverges at merge " << k;
-    EXPECT_EQ(got.merges()[k].left, want.merges()[k].left) << "merge " << k;
-    EXPECT_EQ(got.merges()[k].right, want.merges()[k].right) << "merge " << k;
-    EXPECT_EQ(got.merges()[k].size, want.merges()[k].size) << "merge " << k;
-  }
-  // Flat partitions must be identical at every cut between height levels.
-  std::vector<double> heights;
-  for (const MergeStep& m : want.merges()) heights.push_back(m.height);
-  for (size_t k = 0; k + 1 < heights.size(); ++k) {
-    if (heights[k + 1] - heights[k] > 1e-6) {
-      double cut = (heights[k] + heights[k + 1]) / 2.0;
-      EXPECT_EQ(got.CutAtHeight(cut), want.CutAtHeight(cut)) << "cut " << cut;
-    }
-  }
-}
-
-/// Bit-level equality — used where the contract is exact: a pure replay
-/// returns the previous dendrogram with its recorded heights untouched.
-void ExpectBitIdenticalDendrogram(const Dendrogram& got,
-                                  const Dendrogram& want) {
-  ASSERT_EQ(got.num_leaves(), want.num_leaves());
-  ASSERT_EQ(got.merges().size(), want.merges().size());
-  for (size_t k = 0; k < want.merges().size(); ++k) {
-    EXPECT_EQ(got.merges()[k].height, want.merges()[k].height) << "merge " << k;
-    EXPECT_EQ(got.merges()[k].left, want.merges()[k].left) << "merge " << k;
-    EXPECT_EQ(got.merges()[k].right, want.merges()[k].right) << "merge " << k;
-    EXPECT_EQ(got.merges()[k].size, want.merges()[k].size) << "merge " << k;
-  }
-}
-
-DistanceMatrix RandomMatrix(Rng* rng, size_t n) {
-  DistanceMatrix m(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      m.set(i, j, 0.05 + rng->UniformDouble() * 6.0);
-    }
-  }
-  return m;
-}
-
-TEST(ClusterIncrementalTest, PureInsertionMatchesScratchBitwise) {
-  Rng rng(614);
-  for (int trial = 0; trial < 40; ++trial) {
-    size_t num_old = 2 + rng.UniformInt(24);
-    size_t added = 1 + rng.UniformInt(8);
-    size_t n = num_old + added;
-    DistanceMatrix full = RandomMatrix(&rng, n);
-
-    // Previous epoch: scratch clustering of the first num_old points.
-    DistanceMatrix old_matrix(num_old);
-    for (size_t i = 0; i < num_old; ++i) {
-      for (size_t j = i + 1; j < num_old; ++j) {
-        old_matrix.set(i, j, full.at(i, j));
-      }
-    }
-    Dendrogram previous = ClusterGroupAverage(old_matrix);
-
-    std::vector<int32_t> old_to_new(num_old);
-    for (size_t l = 0; l < num_old; ++l) {
-      old_to_new[l] = static_cast<int32_t>(l);
-    }
-    IncrementalClusterStats stats;
-    Dendrogram incremental = ClusterGroupAverageIncremental(
-        full, previous, old_to_new,
-        std::numeric_limits<double>::infinity(), &stats);
-    ExpectSameDendrogram(incremental, ClusterGroupAverage(full));
-    EXPECT_EQ(stats.replayed_merges + stats.dirty_merges, n - 1);
-  }
-}
-
-TEST(ClusterIncrementalTest, InsertionsDeletionsAndPermutationMatchScratch) {
-  Rng rng(7012);
-  for (int trial = 0; trial < 40; ++trial) {
-    size_t num_old = 3 + rng.UniformInt(20);
-    DistanceMatrix old_matrix = RandomMatrix(&rng, num_old);
-    Dendrogram previous = ClusterGroupAverage(old_matrix);
-
-    // Drop a random subset of old points (keep at least two).
-    std::vector<int32_t> survivors;
-    for (size_t l = 0; l < num_old; ++l) {
-      if (rng.UniformDouble() < 0.75) {
-        survivors.push_back(static_cast<int32_t>(l));
-      }
-    }
-    while (survivors.size() < 2) {
-      survivors.push_back(static_cast<int32_t>(survivors.size()));
-    }
-    std::sort(survivors.begin(), survivors.end());
-    survivors.erase(std::unique(survivors.begin(), survivors.end()),
-                    survivors.end());
-    size_t added = 1 + rng.UniformInt(6);
-    size_t n = survivors.size() + added;
-
-    // New positions: survivors scattered by a random permutation, added
-    // points in the gaps — the canonical-order reality where old points do
-    // NOT occupy a contiguous prefix.
-    std::vector<size_t> positions(n);
-    for (size_t i = 0; i < n; ++i) positions[i] = i;
-    rng.Shuffle(&positions);
-    std::vector<int32_t> old_to_new(num_old, -1);
-    for (size_t s = 0; s < survivors.size(); ++s) {
-      old_to_new[static_cast<size_t>(survivors[s])] =
-          static_cast<int32_t>(positions[s]);
-    }
-
-    // New matrix: surviving pairs keep their old distances; anything
-    // involving an added position is fresh.
-    DistanceMatrix full = RandomMatrix(&rng, n);
-    for (size_t a = 0; a < survivors.size(); ++a) {
-      for (size_t b = a + 1; b < survivors.size(); ++b) {
-        size_t pa = positions[a];
-        size_t pb = positions[b];
-        full.set(std::min(pa, pb), std::max(pa, pb),
-                 old_matrix.at(static_cast<size_t>(survivors[a]),
-                               static_cast<size_t>(survivors[b])));
-      }
-    }
-
-    // The dropped-point cap: min old distance from any dropped point.
-    double drop_limit = std::numeric_limits<double>::infinity();
-    std::vector<bool> dropped(num_old, true);
-    for (int32_t s : survivors) dropped[static_cast<size_t>(s)] = false;
-    for (size_t i = 0; i < num_old; ++i) {
-      for (size_t j = i + 1; j < num_old; ++j) {
-        if (dropped[i] || dropped[j]) {
-          drop_limit = std::min(drop_limit, old_matrix.at(i, j));
-        }
-      }
-    }
-
-    IncrementalClusterStats stats;
-    Dendrogram incremental = ClusterGroupAverageIncremental(
-        full, previous, old_to_new, drop_limit, &stats);
-    ExpectSameDendrogram(incremental, ClusterGroupAverage(full));
-  }
-}
-
-TEST(ClusterIncrementalTest, NoChangeIsPureReplay) {
-  Rng rng(99);
-  DistanceMatrix m = RandomMatrix(&rng, 16);
-  Dendrogram previous = ClusterGroupAverage(m);
-  std::vector<int32_t> identity(16);
-  for (size_t i = 0; i < 16; ++i) identity[i] = static_cast<int32_t>(i);
-  IncrementalClusterStats stats;
-  Dendrogram incremental = ClusterGroupAverageIncremental(
-      m, previous, identity, std::numeric_limits<double>::infinity(), &stats);
-  ExpectBitIdenticalDendrogram(incremental, previous);
-  EXPECT_EQ(stats.replayed_merges, 15u);
-  EXPECT_EQ(stats.dirty_merges, 0u);
-}
-
-TEST(ClusterIncrementalTest, EmptyPreviousIsScratch) {
-  Rng rng(123);
-  DistanceMatrix m = RandomMatrix(&rng, 12);
-  Dendrogram empty(0, {});
-  IncrementalClusterStats stats;
-  Dendrogram incremental = ClusterGroupAverageIncremental(
-      m, empty, {}, std::numeric_limits<double>::infinity(), &stats);
-  ExpectSameDendrogram(incremental, ClusterGroupAverage(m));
-  EXPECT_EQ(stats.replayed_merges, 0u);
-}
-
-// The replay actually saves work: growing a sample by a few distant points
-// replays most old merges instead of recomputing them.
-TEST(ClusterIncrementalTest, ReplayDominatesForDistantInsertions) {
-  Rng rng(4711);
-  size_t num_old = 40;
-  DistanceMatrix old_matrix(num_old);
-  for (size_t i = 0; i < num_old; ++i) {
-    for (size_t j = i + 1; j < num_old; ++j) {
-      old_matrix.set(i, j, 0.05 + rng.UniformDouble());  // heights < ~1.05
-    }
-  }
-  Dendrogram previous = ClusterGroupAverage(old_matrix);
-
-  size_t n = num_old + 4;
-  DistanceMatrix full(n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (i < num_old && j < num_old) {
-        full.set(i, j, old_matrix.at(i, j));
-      } else {
-        full.set(i, j, 3.0 + rng.UniformDouble());  // far from everything
-      }
-    }
-  }
-  std::vector<int32_t> old_to_new(num_old);
-  for (size_t l = 0; l < num_old; ++l) old_to_new[l] = static_cast<int32_t>(l);
-  IncrementalClusterStats stats;
-  Dendrogram incremental = ClusterGroupAverageIncremental(
-      full, previous, old_to_new, std::numeric_limits<double>::infinity(),
-      &stats);
-  ExpectSameDendrogram(incremental, ClusterGroupAverage(full));
-  // Every old merge sits below the 3.0 clean limit: all replayed.
-  EXPECT_EQ(stats.replayed_merges, num_old - 1);
-  EXPECT_EQ(stats.dirty_merges, 4u);
-}
-
 }  // namespace
 }  // namespace leakdet::core

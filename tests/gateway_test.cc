@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,11 +12,13 @@
 
 #include "core/detector.h"
 #include "core/payload_check.h"
+#include "core/pipeline.h"
 #include "core/signature_server.h"
 #include "gateway/trainer.h"
 #include "match/compiled_set.h"
 #include "net/host.h"
 #include "sim/trafficgen.h"
+#include "testing/packet_gen.h"
 #include "util/rng.h"
 
 namespace leakdet::gateway {
@@ -437,6 +440,51 @@ TEST(TrainerArchiveTest, SetForVersionRebuildsEveryPublishedEpoch) {
       EXPECT_EQ(got[r][v - 1], got[0][v - 1]) << "version " << v;
     }
   }
+}
+
+// A started trainer with default options publishes the feed core::RunPipeline
+// trains on the server's pools, through its own mailbox and thread.
+TEST(TrainerLoopTest, DefaultLoopPublishesThroughCorePipeline) {
+  Rng rng(9);
+  core::DeviceTokens device;
+  device.android_id = rng.RandomHex(16);
+  core::PayloadCheck oracle(std::vector<core::DeviceTokens>{device});
+  std::vector<std::string> tokens{device.android_id};
+
+  core::SignatureServer::Options options;
+  options.retrain_after = 4;
+  options.pipeline.sample_size = 6;
+  options.pipeline.normal_corpus_size = 8;
+  options.pipeline.num_threads = 1;
+  core::SignatureServer server(&oracle, options);
+  GatewayOptions gateway_options;
+  gateway_options.num_shards = 1;
+  DetectionGateway gateway(gateway_options);
+  TrainerLoop trainer(&server, &gateway, TrainerOptions{});
+  ASSERT_TRUE(trainer.Start().ok());
+
+  Verdict verdict;
+  verdict.sensitive = true;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(trainer.Offer(
+        leakdet::testing::GeneratePacket(&rng, tokens, 1.0), verdict));
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (trainer.items_processed() < 4) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "trainer never processed 4 items";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  trainer.Stop();
+
+  EXPECT_EQ(trainer.feeds_published(), 1u);
+  ASSERT_NE(gateway.current_set(), nullptr);
+  EXPECT_EQ(gateway.current_set()->version(), 1u);
+  auto want = core::RunPipeline(server.suspicious_pool(), server.normal_pool(),
+                                options.pipeline);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+  EXPECT_EQ(gateway.current_set()->set().Serialize(),
+            want->signatures.Serialize());
 }
 
 }  // namespace

@@ -20,13 +20,6 @@
 //       Lists the per-tenant lineages (tenant-* subdirectories) under a
 //       federation data root. Read-only.
 //
-//   leakdet_store ncdcache --data-dir DIR
-//       Scans the incremental trainer's NCD size-cache sidecar
-//       (DIR/ncd-cache): record counts, CRC validation, and whether any
-//       trailing garbage is a repairable torn tail or real damage.
-//       Read-only; exit 1 on damage (a torn tail alone is healthy — the
-//       next trainer open repairs it in place).
-//
 // With --tenant NAME, inspect/verify/compact operate on that tenant's
 // lineage under the federation data root: --data-dir ROOT --tenant acme
 // targets ROOT/tenant-acme (name mangling handled for you).
@@ -47,7 +40,6 @@
 #include "store/snapshot.h"
 #include "store/store_manager.h"
 #include "store/wal.h"
-#include "train/ncd_cache.h"
 
 namespace {
 
@@ -362,44 +354,9 @@ int CmdTenants(const Args& args) {
   return 0;
 }
 
-int CmdNcdCache(const Args& args) {
-  std::string data_dir = ResolveDataDir(args);
-  if (data_dir.empty()) return Fail("ncdcache needs --data-dir DIR");
-  std::string path = data_dir + "/ncd-cache";
-  StatusOr<train::NcdCacheInfo> info =
-      train::InspectNcdCache(store::Dir::Real(), path);
-  if (!info.ok()) return Fail(info.status());
-  if (info->file_bytes == 0) {
-    std::printf("%s: absent or empty (no cached epochs yet)\n", path.c_str());
-    return 0;
-  }
-  std::printf("%s:\n", path.c_str());
-  std::printf("  singletons: %llu  pairs: %llu\n",
-              static_cast<unsigned long long>(info->singletons),
-              static_cast<unsigned long long>(info->pairs));
-  std::printf("  bytes: %llu valid of %llu on disk\n",
-              static_cast<unsigned long long>(info->valid_bytes),
-              static_cast<unsigned long long>(info->file_bytes));
-  if (info->damaged) {
-    std::fprintf(stderr,
-                 "DAMAGE: invalid record before the tail — the next trainer "
-                 "open will discard this cache and rebuild\n");
-    return 1;
-  }
-  if (info->torn_tail) {
-    std::printf("  torn tail: %llu bytes (repairable — truncated on next "
-                "trainer open)\n",
-                static_cast<unsigned long long>(info->file_bytes -
-                                                info->valid_bytes));
-  } else {
-    std::printf("  clean\n");
-  }
-  return 0;
-}
-
 int Usage() {
   std::fprintf(stderr,
-               "usage: leakdet_store <inspect|verify|compact|tenants|ncdcache> "
+               "usage: leakdet_store <inspect|verify|compact|tenants> "
                "--data-dir DIR [--tenant NAME] [--keep N] "
                "[--sync-policy every-record|every-n|on-rotate]\n");
   return 1;
@@ -415,6 +372,5 @@ int main(int argc, char** argv) {
   if (cmd == "verify") return CmdVerify(args);
   if (cmd == "compact") return CmdCompact(args);
   if (cmd == "tenants") return CmdTenants(args);
-  if (cmd == "ncdcache") return CmdNcdCache(args);
   return Usage();
 }

@@ -15,14 +15,19 @@ HttpPacket MakePacket(uint32_t app_id, const net::Endpoint& destination,
 
 std::string PacketContent(const HttpPacket& packet) {
   std::string content;
-  content.reserve(packet.request_line.size() + packet.cookie.size() +
-                  packet.body.size() + 2);
-  content += packet.request_line;
-  content += '\n';
-  content += packet.cookie;
-  content += '\n';
-  content += packet.body;
+  AppendPacketContent(packet, &content);
   return content;
+}
+
+void AppendPacketContent(const HttpPacket& packet, std::string* out) {
+  out->clear();
+  out->reserve(packet.request_line.size() + packet.cookie.size() +
+               packet.body.size() + 2);
+  *out += packet.request_line;
+  *out += '\n';
+  *out += packet.cookie;
+  *out += '\n';
+  *out += packet.body;
 }
 
 std::vector<std::string> PacketContents(

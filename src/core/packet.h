@@ -37,6 +37,11 @@ HttpPacket MakePacket(uint32_t app_id, const net::Endpoint& destination,
 /// agree byte-for-byte.
 std::string PacketContent(const HttpPacket& packet);
 
+/// PacketContent into a reused buffer: clears `out`, then appends the
+/// content, so a buffer that has reached the largest packet's size
+/// allocates nothing.
+void AppendPacketContent(const HttpPacket& packet, std::string* out);
+
 /// Batch form of PacketContent.
 std::vector<std::string> PacketContents(const std::vector<HttpPacket>& packets);
 

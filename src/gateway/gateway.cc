@@ -276,9 +276,9 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
           std::chrono::duration_cast<std::chrono::nanoseconds>(dequeued -
                                                                item.enqueued)
               .count()));
-      contents[j] = core::PacketContent(item.packet);
+      core::AppendPacketContent(item.packet, &contents[j]);
       if (options_.use_host_scope) {
-        domains[j] = net::RegistrableDomain(item.packet.destination.host);
+        net::RegistrableDomainInto(item.packet.destination.host, &domains[j]);
       } else {
         domains[j].clear();
       }

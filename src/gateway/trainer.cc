@@ -134,7 +134,9 @@ bool TrainerLoop::Offer(const core::HttpPacket& packet,
     uint64_t tick = normal_tick_.fetch_add(1, std::memory_order_relaxed);
     if (tick % options_.forward_normal_every != 0) return false;
   }
-  if (!mailbox_.TryPush(TrainingItem{packet, verdict})) {
+  // The copy of the packet is made only once the mailbox has room: most
+  // offers are shed while a retrain runs.
+  if (!mailbox_.TryEmplace(packet, verdict)) {
     drops_->Inc();
     return false;
   }

@@ -6,12 +6,26 @@
 
 namespace leakdet::net {
 
-std::string NormalizeHost(std::string_view host) {
+namespace {
+
+/// NormalizeHost into a reused buffer.
+void NormalizeHostInto(std::string_view host, std::string* out) {
   std::string_view trimmed = TrimWhitespace(host);
   if (!trimmed.empty() && trimmed.back() == '.') {
     trimmed.remove_suffix(1);
   }
-  return AsciiToLower(trimmed);
+  out->assign(trimmed);
+  for (char& c : *out) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+}
+
+}  // namespace
+
+std::string NormalizeHost(std::string_view host) {
+  std::string norm;
+  NormalizeHostInto(host, &norm);
+  return norm;
 }
 
 bool IsValidHostname(std::string_view host) {
@@ -26,10 +40,6 @@ bool IsValidHostname(std::string_view host) {
     }
   }
   return true;
-}
-
-std::vector<std::string_view> HostLabels(std::string_view host) {
-  return Split(host, '.');
 }
 
 namespace {
@@ -51,22 +61,31 @@ bool EndsWithSuffix(std::string_view host, std::string_view suffix) {
 }  // namespace
 
 std::string RegistrableDomain(std::string_view host) {
-  std::string norm = NormalizeHost(host);
-  std::vector<std::string_view> labels = HostLabels(norm);
-  if (labels.size() <= 1) return norm;
+  std::string domain;
+  RegistrableDomainInto(host, &domain);
+  return domain;
+}
 
+void RegistrableDomainInto(std::string_view host, std::string* out) {
+  NormalizeHostInto(host, out);
   size_t suffix_labels = 1;  // default: the last label is the public suffix
   for (auto two : kTwoLabelSuffixes) {
-    if (EndsWithSuffix(norm, two)) {
+    if (EndsWithSuffix(*out, two)) {
       suffix_labels = 2;
       break;
     }
   }
-  size_t want = suffix_labels + 1;  // suffix + one registrable label
-  if (labels.size() <= want) return norm;
-  std::vector<std::string_view> tail(labels.end() - static_cast<long>(want),
-                                     labels.end());
-  return Join(tail, ".");
+  // Keep the suffix plus one registrable label: erase through the dot in
+  // front of them. Labels may be empty ("a..b.com"), so counting dots from
+  // the end is exactly splitting on '.' and joining the tail. A host with
+  // no more labels than that is kept whole.
+  size_t cut = out->size();
+  for (size_t dots = 0; dots < suffix_labels + 1; ++dots) {
+    if (cut == 0) return;
+    cut = out->rfind('.', cut - 1);
+    if (cut == std::string::npos) return;
+  }
+  out->erase(0, cut + 1);
 }
 
 }  // namespace leakdet::net

@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace leakdet::net {
 
@@ -15,9 +14,6 @@ std::string NormalizeHost(std::string_view host);
 /// [A-Za-z0-9-], 1..63 chars, not starting/ending with '-', total <= 253.
 bool IsValidHostname(std::string_view host);
 
-/// Splits a normalized host into labels ("a.b.c" -> {"a","b","c"}).
-std::vector<std::string_view> HostLabels(std::string_view host);
-
 /// Registrable domain ("site": eTLD+1) using a built-in suffix list covering
 /// the TLDs/second-level suffixes seen in the paper's dataset (jp
 /// second-level domains such as co.jp/ne.jp/or.jp, plus generic TLDs).
@@ -25,6 +21,12 @@ std::vector<std::string_view> HostLabels(std::string_view host);
 /// "img.yahoo.co.jp"       -> "yahoo.co.jp".
 /// A bare suffix or unrecognized single label is returned unchanged.
 std::string RegistrableDomain(std::string_view host);
+
+/// RegistrableDomain into a reused buffer: `out` is overwritten with the
+/// normalized host, then everything before the registrable domain is
+/// erased, so a buffer that has reached the longest host's size allocates
+/// nothing.
+void RegistrableDomainInto(std::string_view host, std::string* out);
 
 }  // namespace leakdet::net
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "sim/trafficgen.h"
+
 namespace leakdet::core {
 namespace {
 
@@ -64,6 +68,28 @@ TEST(PacketTest, EqualityComparesAllFields) {
   EXPECT_EQ(a, b);
   b.body = "changed";
   EXPECT_FALSE(a == b);
+}
+
+// The reused-buffer form writes exactly PacketContent's bytes for every
+// packet of a paper-scale trace, whatever the buffer held before.
+TEST(PacketTest, AppendPacketContentEqualsPacketContentOnTrace) {
+  sim::TrafficConfig config;
+  config.seed = 42;
+  config.scale = 0.3;
+  sim::Trace trace = sim::GenerateTrace(config);
+  ASSERT_GT(trace.packets.size(), 10000u);
+  std::string reused = "left over from an earlier, longer packet";
+  for (const sim::LabeledPacket& lp : trace.packets) {
+    const HttpPacket& p = lp.packet;
+    const std::string want =
+        p.request_line + "\n" + p.cookie + "\n" + p.body;
+    ASSERT_EQ(PacketContent(p), want);
+    AppendPacketContent(p, &reused);  // holds the previous packet's content
+    ASSERT_EQ(reused, want);
+    std::string fresh;
+    AppendPacketContent(p, &fresh);
+    ASSERT_EQ(fresh, want);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,41 +89,91 @@ TEST(BoundedQueueTest, PopBatchRespectsLimitAndOrder) {
   EXPECT_EQ(batch, (std::vector<int>{4, 5}));
 }
 
-TEST(BoundedQueueTest, MultiProducerMultiConsumerLosesNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 5000;
+// The ring's head walks past the end of the slot vector many times over;
+// order and contents survive every wrap.
+TEST(BoundedQueueTest, WrapsAroundPastCapacity) {
+  BoundedQueue<int> q(3);
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(q.TryPush(next_in++));
+    ASSERT_TRUE(q.TryPush(next_in++));
+    int out = -1;
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, next_out++);
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, next_out++);
+  }
+  EXPECT_EQ(q.size(), 0u);
+}
+
+// Growing while the backlog straddles the wrap point must unroll it in
+// FIFO order into the larger ring.
+TEST(BoundedQueueTest, GrowsWhileBacklogStraddlesTheWrapPoint) {
   BoundedQueue<int> q(64);
-  std::atomic<uint64_t> sum{0};
-  std::atomic<uint64_t> received{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      std::vector<int> batch;
-      while (true) {
-        batch.clear();
-        if (q.PopBatch(&batch, 16) == 0) return;
-        for (int v : batch) {
-          sum.fetch_add(static_cast<uint64_t>(v), std::memory_order_relaxed);
-          received.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
+  // Grow to 4 slots, then move the head to slot 3 so the backlog wraps.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.TryPush(i));
+  int out = -1;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.Pop(&out));
+  for (int i = 4; i < 7; ++i) ASSERT_TRUE(q.TryPush(i));  // slots 0..2
+  ASSERT_EQ(q.size(), 4u);                                // ring full
+  for (int i = 7; i < 20; ++i) ASSERT_TRUE(q.TryPush(i));  // grows twice
+  std::vector<int> got;
+  while (q.size() > 0) {
+    ASSERT_TRUE(q.Pop(&out));
+    got.push_back(out);
   }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
+  std::vector<int> want;
+  for (int i = 3; i < 20; ++i) want.push_back(i);
+  EXPECT_EQ(got, want);
+}
+
+TEST(BoundedQueueTest, CloseDrainsAWrappedBacklogInOrder) {
+  BoundedQueue<int> q(4);
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.TryPush(i));
+  int out = -1;
+  ASSERT_TRUE(q.Pop(&out));
+  ASSERT_TRUE(q.Pop(&out));
+  ASSERT_TRUE(q.TryPush(4));  // wraps to slot 0
+  ASSERT_TRUE(q.TryPush(5));
   q.Close();
-  for (auto& t : consumers) t.join();
-  constexpr uint64_t kTotal = uint64_t{kProducers} * kPerProducer;
-  EXPECT_EQ(received.load(), kTotal);
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_FALSE(q.TryPush(6));
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 3), 3u);
+  ASSERT_TRUE(q.Pop(&out));
+  batch.push_back(out);
+  EXPECT_EQ(batch, (std::vector<int>{2, 3, 4, 5}));
+  EXPECT_FALSE(q.Pop(&out));
+  EXPECT_EQ(q.PopBatch(&batch, 3), 0u);
+}
+
+// Growth stops at capacity: a full ring that has grown refuses the next
+// push rather than growing past the bound.
+TEST(BoundedQueueTest, TryPushRefusedAtCapacityAfterGrowth) {
+  BoundedQueue<int> q(5);  // the ring grows 1 -> 2 -> 4 -> 5
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.TryPush(i)) << i;
+  EXPECT_FALSE(q.TryPush(5));
+  EXPECT_FALSE(q.TryEmplace(5));
+  EXPECT_EQ(q.size(), 5u);
+  std::vector<int> batch;
+  EXPECT_EQ(q.PopBatch(&batch, 10), 5u);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(BoundedQueueTest, CapacityOne) {
+  BoundedQueue<std::string> q(1);
+  std::string out;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(q.TryPush("item-" + std::to_string(i)));
+    EXPECT_FALSE(q.TryEmplace("refused"));
+    ASSERT_TRUE(q.Pop(&out));
+    EXPECT_EQ(out, "item-" + std::to_string(i));
+  }
+  ASSERT_TRUE(q.TryEmplace("last"));
+  q.Close();
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, "last");
+  EXPECT_FALSE(q.Pop(&out));
 }
 
 }  // namespace

@@ -487,5 +487,49 @@ TEST(TrainerLoopTest, DefaultLoopPublishesThroughCorePipeline) {
             want->signatures.Serialize());
 }
 
+// An offer to a full mailbox is shed: it returns false, counts one drop, and
+// leaves the queued items as they were (the trainer ingests exactly them).
+TEST(TrainerLoopTest, OfferToFullMailboxIsShedAndLeavesMailboxUnchanged) {
+  Rng rng(11);
+  core::DeviceTokens device;
+  device.android_id = rng.RandomHex(16);
+  core::PayloadCheck oracle(std::vector<core::DeviceTokens>{device});
+  std::vector<std::string> tokens{device.android_id};
+
+  core::SignatureServer::Options options;
+  options.retrain_after = 1u << 30;  // no retrain: only ingestion is checked
+  core::SignatureServer server(&oracle, options);
+  DetectionGateway gateway(GatewayOptions{});
+  TrainerOptions trainer_options;
+  trainer_options.queue_capacity = 2;
+  TrainerLoop trainer(&server, &gateway, trainer_options);
+
+  Verdict verdict;
+  verdict.sensitive = true;
+  std::vector<HttpPacket> offered;
+  for (int i = 0; i < 3; ++i) {
+    offered.push_back(leakdet::testing::GeneratePacket(&rng, tokens, 1.0));
+  }
+  // Not started: nothing drains the mailbox.
+  ASSERT_TRUE(trainer.Offer(offered[0], verdict));
+  ASSERT_TRUE(trainer.Offer(offered[1], verdict));
+  EXPECT_FALSE(trainer.Offer(offered[2], verdict));
+  EXPECT_EQ(trainer.training_drops(), 1u);
+
+  ASSERT_TRUE(trainer.Start().ok());
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (trainer.items_processed() < 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "trainer never processed the 2 queued items";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  trainer.Stop();
+  EXPECT_EQ(trainer.items_processed(), 2u);
+  EXPECT_EQ(trainer.training_drops(), 1u);
+  EXPECT_EQ(server.normal_pool_size(), 0u);
+  EXPECT_EQ(server.suspicious_pool(),
+            (std::vector<HttpPacket>{offered[0], offered[1]}));
+}
+
 }  // namespace
 }  // namespace leakdet::gateway

@@ -62,8 +62,13 @@ Status FederationHub::AddTenant(const std::string& tenant) {
         return GateFeed(t, version, std::move(trained));
       });
 
+  // The caller's gateway shape, but a private registry: two gateways on one
+  // registry would collide on series names and share its collect hooks.
+  gateway::GatewayOptions gateway_options = gateway_->options();
+  gateway_options.registry = nullptr;
+  t->gateway = std::make_unique<gateway::DetectionGateway>(gateway_options);
+
   gateway::TrainerOptions trainer_options = options_.trainer;
-  trainer_options.tenant = tenant;
   trainer_options.store = nullptr;
   if (stores_) {
     auto store = stores_->Open(tenant);
@@ -72,9 +77,10 @@ Status FederationHub::AddTenant(const std::string& tenant) {
     trainer_options.store = t->store;
   }
   // Installs the feed observer: from here on every version advance compiles
-  // and publishes into the gateway's tenant namespace.
+  // and publishes into the tenant's gateway.
   t->trainer = std::make_unique<gateway::TrainerLoop>(
-      t->server.get(), gateway_, trainer_options);
+      t->server.get(), t->gateway.get(), trainer_options);
+  t->gateway->set_sink(t->trainer->Sink());
 
   if (t->store != nullptr) {
     // Serve-before-replay recovery. The transform is deliberately NOT
@@ -96,13 +102,18 @@ Status FederationHub::Start() {
   started_ = true;
   for (auto& [name, t] : tenants_) {
     Status status = t->trainer->Start();
+    if (status.ok()) status = t->gateway->Start();
     if (!status.ok()) return status;
   }
   return Status::OK();
 }
 
 void FederationHub::Stop() {
-  for (auto& [name, t] : tenants_) t->trainer->Stop();
+  for (auto& [name, t] : tenants_) {
+    // Every accepted packet reaches the trainer's mailbox before it closes.
+    t->gateway->Stop();
+    t->trainer->Stop();
+  }
 }
 
 bool FederationHub::Submit(uint64_t device_key,
@@ -127,15 +138,7 @@ bool FederationHub::Submit(uint64_t device_key,
       t->ring_next = (t->ring_next + 1) % t->config.witness_window;
     }
   }
-  return gateway_->Submit(device_key, tenant, packet);
-}
-
-gateway::DetectionGateway::PacketSink FederationHub::Sink() {
-  return [this](const core::HttpPacket& packet,
-                const gateway::Verdict& verdict) {
-    Tenant* t = Find(resolver_(packet));
-    if (t != nullptr) t->trainer->Offer(packet, verdict);
-  };
+  return t->gateway->Submit(device_key, packet);
 }
 
 match::SignatureSet FederationHub::GateFeed(Tenant* t, uint64_t version,
@@ -225,7 +228,7 @@ std::string FederationHub::StatuszRender() const {
         << (devices >= ShardExport::kDeviceSetCap ? "+" : "")
         << " observed=" << observed << " witness_window=" << window << "/"
         << t->config.witness_window
-        << " gateway_epoch=" << gateway_->tenant_version(name) << "\n";
+        << " gateway_epoch=" << t->gateway->current_version() << "\n";
   }
   return out.str();
 }
@@ -233,6 +236,11 @@ std::string FederationHub::StatuszRender() const {
 core::SignatureServer* FederationHub::server(const std::string& tenant) {
   Tenant* t = Find(tenant);
   return t == nullptr ? nullptr : t->server.get();
+}
+
+gateway::DetectionGateway* FederationHub::gateway(const std::string& tenant) {
+  Tenant* t = Find(tenant);
+  return t == nullptr ? nullptr : t->gateway.get();
 }
 
 gateway::TrainerLoop* FederationHub::trainer(const std::string& tenant) {

@@ -44,7 +44,7 @@ struct HubOptions {
   std::map<std::string, TenantConfig> tenant_overrides;
   /// Per-tenant SignatureServer shape (pools, retrain cadence, pipeline).
   core::SignatureServer::Options server;
-  /// Trainer template; `tenant` and `store` are filled in per tenant.
+  /// Trainer template; `store` is filled in per tenant.
   gateway::TrainerOptions trainer;
   /// Root directory for per-tenant store lineages ("" = no persistence).
   std::string data_root;
@@ -57,33 +57,35 @@ struct HubOptions {
   obs::Registry* registry = nullptr;
 };
 
-/// The crowdsourced control plane: one gateway, many signature namespaces.
+/// The crowdsourced control plane: one detection front per tenant.
 ///
-/// Each tenant gets its own SignatureServer + TrainerLoop (one training
-/// thread per tenant, preserving the server's serialization contract), its
-/// own WAL/snapshot lineage under `<data_root>/tenant-<name>/`, and its own
-/// compiled-epoch namespace in the gateway. Between training and
-/// publication every feed passes the K-anonymity gate: the hub keeps a
-/// bounded per-tenant window of (device-hash, content) observations, and a
-/// SignatureServer feed transform rebuilds the witness table at each
-/// retrain and generalizes out every token seen on fewer than K distinct
-/// devices — device-unique identifier values never reach a published
-/// signature even when they cluster.
+/// Each tenant gets its own DetectionGateway (the caller's gateway shape,
+/// with a private metrics registry), SignatureServer and TrainerLoop, and
+/// its own WAL/snapshot lineage under `<data_root>/tenant-<name>/`: a
+/// tenant's epoch, verdicts and metrics never touch another tenant's or the
+/// caller's gateway. Between training and publication every feed passes the
+/// K-anonymity gate: the hub keeps a bounded per-tenant window of
+/// (device-hash, content) observations, and a SignatureServer feed
+/// transform rebuilds the witness table at each retrain and generalizes out
+/// every token seen on fewer than K distinct devices — device-unique
+/// identifier values never reach a published signature even when they
+/// cluster.
 ///
-/// Threading: AddTenant/Start are setup-time (single thread, before
-/// traffic). Submit is thread-safe and may be called concurrently with
-/// trainer publishes. TenantFeed/StatuszRender are thread-safe (feed-server
-/// and admin threads).
+/// Threading: every tenant runs `num_shards` gateway worker threads plus
+/// one training thread (preserving the server's serialization contract).
+/// AddTenant/Start are setup-time (single thread, before traffic). Submit
+/// is thread-safe and may be called concurrently with trainer publishes.
+/// TenantFeed/StatuszRender are thread-safe (feed-server and admin
+/// threads).
 class FederationHub {
  public:
-  /// Maps a packet to its tenant (e.g. by app id). Must be deterministic
-  /// and thread-safe: it runs on submit threads and on gateway workers (via
-  /// the sink).
+  /// Maps a packet to its tenant (e.g. by app id). Must be thread-safe: it
+  /// runs on submit threads.
   using TenantResolver = std::function<std::string(const core::HttpPacket&)>;
 
-  /// `gateway` and `oracle` must outlive the hub. Not owned. The hub
-  /// installs itself as the gateway's sink via Sink() — wire it before
-  /// gateway Start().
+  /// `gateway` and `oracle` must outlive the hub. Not owned. `gateway`
+  /// serves packets of unconfigured tenants, and its options() are the
+  /// shape of every tenant gateway; its sink stays the caller's.
   FederationHub(gateway::DetectionGateway* gateway,
                 const core::PayloadCheck* oracle, TenantResolver resolver,
                 HubOptions options);
@@ -91,26 +93,25 @@ class FederationHub {
   FederationHub(const FederationHub&) = delete;
   FederationHub& operator=(const FederationHub&) = delete;
 
-  /// Creates (and recovers, when a data root is configured) one tenant's
-  /// namespace: server, K-anonymity transform, trainer, store lineage. If
-  /// the lineage holds a persisted epoch it is republished into the
-  /// gateway's tenant namespace before this returns. Setup-time only.
+  /// Creates (and recovers, when a data root is configured) one tenant:
+  /// gateway, server, K-anonymity transform, trainer, store lineage. If the
+  /// lineage holds a persisted epoch it is republished into the tenant's
+  /// gateway before this returns. Setup-time only.
   Status AddTenant(const std::string& tenant);
 
-  /// Starts every tenant's training thread. Call after the last AddTenant.
+  /// Starts every tenant's trainer and gateway. Call after the last
+  /// AddTenant.
   Status Start();
 
-  /// Stops every trainer (drains mailboxes, syncs stores). Idempotent.
+  /// Stops every tenant: drains its gateway into its trainer, then drains
+  /// the trainer's mailbox and syncs its store. Idempotent.
   void Stop();
 
   /// Routes one device packet: records K-anonymity witness evidence and
-  /// submits to the gateway under the packet's tenant namespace. Packets
-  /// resolving to an unconfigured tenant go to the default namespace (and
-  /// are counted). Thread-safe.
+  /// submits to the packet's tenant gateway. Packets resolving to an
+  /// unconfigured tenant go to the caller's gateway (and are counted).
+  /// Thread-safe.
   bool Submit(uint64_t device_key, const core::HttpPacket& packet);
-
-  /// The gateway sink: routes each verdict to its tenant's trainer mailbox.
-  gateway::DetectionGateway::PacketSink Sink();
 
   /// The (version, serialized feed) for `tenant`, nullopt if unknown —
   /// exactly the shape io::FeedServer::TenantFeedProvider wants. The feed
@@ -127,6 +128,7 @@ class FederationHub {
   /// Test/tooling access to a tenant's server (training-thread contract
   /// still applies). nullptr if unknown.
   core::SignatureServer* server(const std::string& tenant);
+  gateway::DetectionGateway* gateway(const std::string& tenant);
   gateway::TrainerLoop* trainer(const std::string& tenant);
   store::StoreManager* store(const std::string& tenant);
 
@@ -134,10 +136,12 @@ class FederationHub {
   struct Tenant {
     std::string name;
     TenantConfig config;
-    // Declaration order is destruction-critical: the trainer deregisters
-    // itself from the server, so it must die first (members are destroyed
-    // in reverse order).
+    // Declaration order is destruction-critical (members are destroyed in
+    // reverse order): the trainer deregisters itself from the server and
+    // publishes into the gateway, so it must die first. The gateway's sink
+    // points at the trainer; Stop() joins the gateway workers before that.
     std::unique_ptr<core::SignatureServer> server;
+    std::unique_ptr<gateway::DetectionGateway> gateway;
     std::unique_ptr<gateway::TrainerLoop> trainer;
     store::StoreManager* store = nullptr;  ///< owned by stores_
 

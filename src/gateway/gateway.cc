@@ -24,7 +24,7 @@ DetectionGateway::DetectionGateway(GatewayOptions options)
       clock_(options.clock != nullptr ? options.clock : Clock::Real()),
       owned_metrics_(options.registry != nullptr
                          ? nullptr
-                         : std::make_unique<MetricsRegistry>()),
+                         : std::make_unique<obs::Registry>()),
       metrics_(options.registry != nullptr ? options.registry
                                            : owned_metrics_.get()) {
   if (options_.num_shards == 0) options_.num_shards = 1;
@@ -102,13 +102,8 @@ uint64_t DetectionGateway::epoch_age_ns() const {
 }
 
 bool DetectionGateway::Submit(uint64_t device_id, core::HttpPacket packet) {
-  return Submit(device_id, std::string(), std::move(packet));
-}
-
-bool DetectionGateway::Submit(uint64_t device_id, std::string tenant,
-                              core::HttpPacket packet) {
   Shard& shard = *shards_[shard_of(device_id)];
-  Item item{std::move(packet), clock_->Now(), std::move(tenant)};
+  Item item{std::move(packet), clock_->Now()};
   // Ingest wall time includes backpressure: under kBlock a full shard makes
   // this timer the queue-wait signal callers actually feel. Sampled, and the
   // start timestamp is the one the Item carries anyway, so the common case
@@ -162,69 +157,6 @@ bool DetectionGateway::Publish(
   return false;
 }
 
-bool DetectionGateway::PublishTenant(
-    const std::string& tenant,
-    std::shared_ptr<const match::CompiledSignatureSet> set) {
-  if (tenant.empty()) return Publish(std::move(set));
-  if (!set || set->version() == 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(epoch_mu_);
-    const match::CompiledSignatureSet* current = nullptr;
-    if (tenant_epochs_) {
-      auto it = tenant_epochs_->find(tenant);
-      if (it != tenant_epochs_->end()) current = it->second.get();
-    }
-    if (current == nullptr || set->version() > current->version()) {
-      uint64_t version = set->version();
-      // Copy-on-write: workers holding the old map keep matching in-flight
-      // packets on it; the swap is one shared_ptr store plus the seq bump.
-      auto next = tenant_epochs_ ? std::make_shared<TenantEpochMap>(
-                                       *tenant_epochs_)
-                                 : std::make_shared<TenantEpochMap>();
-      (*next)[tenant] = std::move(set);
-      tenant_epochs_ = std::move(next);
-      tenant_seq_.fetch_add(1, std::memory_order_release);
-      swaps_->Inc();
-      metrics_
-          ->GetGauge("gateway.tenant_epoch_version", {{"tenant", tenant}})
-          ->Set(static_cast<int64_t>(version));
-      last_publish_ns_.store(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              clock_->Now().time_since_epoch())
-              .count(),
-          std::memory_order_relaxed);
-      return true;
-    }
-  }
-  swap_rejected_->Inc();
-  return false;
-}
-
-std::shared_ptr<const match::CompiledSignatureSet>
-DetectionGateway::tenant_set(const std::string& tenant) const {
-  if (tenant.empty()) return current_set();
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (!tenant_epochs_) return nullptr;
-  auto it = tenant_epochs_->find(tenant);
-  return it == tenant_epochs_->end() ? nullptr : it->second;
-}
-
-uint64_t DetectionGateway::tenant_version(const std::string& tenant) const {
-  if (tenant.empty()) return current_version();
-  auto set = tenant_set(tenant);
-  return set ? set->version() : 0;
-}
-
-std::vector<std::string> DetectionGateway::tenants() const {
-  std::vector<std::string> names;
-  std::lock_guard<std::mutex> lock(epoch_mu_);
-  if (tenant_epochs_) {
-    names.reserve(tenant_epochs_->size());
-    for (const auto& [name, _] : *tenant_epochs_) names.push_back(name);
-  }
-  return names;
-}
-
 void DetectionGateway::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   match::MatchScratch scratch;
@@ -232,10 +164,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
   // version gate moves, so drained batches finish on the epoch they saw.
   std::shared_ptr<const match::CompiledSignatureSet> set;
   uint64_t set_version = 0;
-  // Cached tenant-namespace snapshot, refreshed on the same gate pattern as
-  // the default epoch; touched only by tenant-scoped packets.
-  std::shared_ptr<const TenantEpochMap> tenant_map;
-  uint64_t tenant_map_seq = 0;
   uint64_t verdict_sample = 0;  // per-worker 1-in-N latency sampling cursor
   const prefilter::Mode pf_mode = prefilter_mode_;
   std::vector<Item> batch;
@@ -257,7 +185,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
       set = compiled_;
       set_version = set ? set->version() : 0;
     }
-    bool tenant_checked = false;
 
     // Pass 1: materialize contents and host domains, prefetching the next
     // packet's payload while the current one is being assembled, and record
@@ -293,33 +220,14 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
     verdicts.resize(n);
     auto match_start = clock_->Now();
     for (size_t j = 0; j < n; ++j) {
-      const Item& item = batch[j];
-      const match::CompiledSignatureSet* match_set = set.get();
-      if (!item.tenant.empty()) {
-        // Tenant-scoped packet: same gate pattern against the namespace
-        // snapshot, also refreshed at most once per batch.
-        if (!tenant_checked) {
-          tenant_checked = true;
-          if (tenant_seq_.load(std::memory_order_relaxed) != tenant_map_seq) {
-            std::lock_guard<std::mutex> lock(epoch_mu_);
-            tenant_map = tenant_epochs_;
-            tenant_map_seq = tenant_seq_.load(std::memory_order_relaxed);
-          }
-        }
-        match_set = nullptr;
-        if (tenant_map) {
-          auto found = tenant_map->find(item.tenant);
-          if (found != tenant_map->end()) match_set = found->second.get();
-        }
-      }
       Verdict& verdict = verdicts[j];
       verdict = Verdict{};
       verdict.shard = static_cast<uint32_t>(shard_index);
-      if (match_set) {
-        verdict.feed_version = match_set->version();
+      if (set) {
+        verdict.feed_version = set->version();
         match::PrefilterOutcome outcome;
         verdict.num_matches =
-            static_cast<uint32_t>(match_set->MatchIntoPrefiltered(
+            static_cast<uint32_t>(set->MatchIntoPrefiltered(
                 contents[j], domains[j], &scratch, pf_mode, &outcome));
         verdict.sensitive = verdict.num_matches > 0;
         switch (outcome) {

@@ -9,13 +9,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/packet.h"
 #include "gateway/bounded_queue.h"
-#include "gateway/metrics.h"
 #include "match/compiled_set.h"
+#include "obs/metrics.h"
 #include "prefilter/prefilter.h"
 #include "util/clock.h"
 #include "util/statusor.h"
@@ -56,7 +55,7 @@ struct GatewayOptions {
   /// shared obs::Registry so gateway metrics land on the process scrape
   /// surface. The gateway registers a queue-depth collect hook on it, so an
   /// injected registry must not be scraped after the gateway is destroyed.
-  MetricsRegistry* registry = nullptr;
+  obs::Registry* registry = nullptr;
 };
 
 /// The matching outcome the gateway reports for one packet.
@@ -122,36 +121,11 @@ class DetectionGateway {
   /// room and only returns false once the gateway is stopping.
   bool Submit(uint64_t device_id, core::HttpPacket packet);
 
-  /// Tenant-scoped Submit: the packet is matched against `tenant`'s epoch
-  /// (see PublishTenant) instead of the default one. "" is the default
-  /// namespace and behaves exactly like the two-argument overload. A tenant
-  /// with no published epoch yet matches nothing (feed_version 0), the same
-  /// pre-first-feed behavior the default namespace has.
-  bool Submit(uint64_t device_id, std::string tenant, core::HttpPacket packet);
-
   /// Publishes a new compiled matcher epoch. Rejects (returns false) null
   /// sets, version 0 (the "no feed yet" sentinel), and versions not strictly
   /// newer than the installed one, so late publishers can never roll the
   /// gateway back to a stale feed.
   bool Publish(std::shared_ptr<const match::CompiledSignatureSet> set);
-
-  /// Publishes an epoch into `tenant`'s namespace (same rejection rules,
-  /// applied per tenant; "" delegates to Publish). Namespaces are fully
-  /// isolated: tenant epochs only ever match packets submitted for that
-  /// tenant, and versions are monotonic per tenant, not globally.
-  bool PublishTenant(const std::string& tenant,
-                     std::shared_ptr<const match::CompiledSignatureSet> set);
-
-  /// The installed epoch for `tenant` (null before its first publish; ""
-  /// reads the default namespace).
-  std::shared_ptr<const match::CompiledSignatureSet> tenant_set(
-      const std::string& tenant) const;
-
-  /// Version of `tenant`'s installed epoch (0 before its first publish).
-  uint64_t tenant_version(const std::string& tenant) const;
-
-  /// Tenants with a published epoch (excludes the default namespace).
-  std::vector<std::string> tenants() const;
 
   /// The currently installed epoch (null before the first Publish).
   std::shared_ptr<const match::CompiledSignatureSet> current_set() const {
@@ -167,6 +141,11 @@ class DetectionGateway {
   size_t shard_of(uint64_t device_id) const;
   size_t num_shards() const { return shards_.size(); }
 
+  /// The gateway's shape after construction-time normalization (zero
+  /// shards/capacity/batch raised to 1). A caller building a sibling
+  /// gateway of the same shape copies this and resets `registry`.
+  const GatewayOptions& options() const { return options_; }
+
   /// The gateway's metrics registry (counters: gateway.submitted / dropped /
   /// processed / matched / swaps / swap_rejected, per-shard
   /// gateway.shard<i>.*; histograms: gateway.queue_wait_ns /
@@ -174,7 +153,7 @@ class DetectionGateway {
   /// gateway.epoch_version, per-shard queue_depth refreshed at scrape time).
   /// The injected registry if GatewayOptions.registry was set, else the
   /// gateway-owned one (valid for the gateway's lifetime).
-  MetricsRegistry* metrics() { return metrics_; }
+  obs::Registry* metrics() { return metrics_; }
 
   /// Nanoseconds of this clock's time since the last successful Publish
   /// (staleness of the serving epoch). 0 before the first publish.
@@ -206,23 +185,15 @@ class DetectionGateway {
   struct Item {
     core::HttpPacket packet;
     Clock::TimePoint enqueued;
-    /// Signature namespace to match under ("" = default). Small-string in
-    /// practice (tenant names are short), so routing stays allocation-light.
-    std::string tenant;
   };
-  /// Immutable snapshot of every tenant's current epoch, swapped wholesale
-  /// on PublishTenant (copy-on-write; reads are lock-free once a worker
-  /// holds the snapshot).
-  using TenantEpochMap = std::unordered_map<
-      std::string, std::shared_ptr<const match::CompiledSignatureSet>>;
   struct Shard {
     explicit Shard(size_t capacity) : queue(capacity) {}
     BoundedQueue<Item> queue;
-    Counter* enqueued = nullptr;
-    Counter* dropped = nullptr;
-    Counter* processed = nullptr;
-    Counter* matched = nullptr;
-    Gauge* queue_depth = nullptr;  ///< refreshed by the collect hook
+    obs::Counter* enqueued = nullptr;
+    obs::Counter* dropped = nullptr;
+    obs::Counter* processed = nullptr;
+    obs::Counter* matched = nullptr;
+    obs::Gauge* queue_depth = nullptr;  ///< refreshed by the collect hook
   };
 
   void WorkerLoop(size_t shard_index);
@@ -231,8 +202,8 @@ class DetectionGateway {
   Clock* clock_ = nullptr;
   // Private registry unless one was injected; `metrics_` always points at
   // the live one (declaration order matters: owned before the pointer).
-  std::unique_ptr<MetricsRegistry> owned_metrics_;
-  MetricsRegistry* metrics_ = nullptr;
+  std::unique_ptr<obs::Registry> owned_metrics_;
+  obs::Registry* metrics_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::thread> workers_;
   // The published epoch. `compiled_` is guarded by `epoch_mu_`;
@@ -242,12 +213,6 @@ class DetectionGateway {
   mutable std::mutex epoch_mu_;
   std::shared_ptr<const match::CompiledSignatureSet> compiled_;
   std::atomic<uint64_t> compiled_version_{0};
-  // Tenant namespaces, behind their own gate so the default (single-tenant)
-  // hot path is untouched: workers consult these only for items whose
-  // tenant is non-empty. `tenant_epochs_` is guarded by `epoch_mu_`;
-  // `tenant_seq_` counts PublishTenant swaps (the workers' refresh gate).
-  std::shared_ptr<const TenantEpochMap> tenant_epochs_;
-  std::atomic<uint64_t> tenant_seq_{0};
   PacketSink sink_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
@@ -255,20 +220,21 @@ class DetectionGateway {
   /// Resolved once at construction (env + CPUID); workers read it lock-free.
   prefilter::Mode prefilter_mode_ = prefilter::Mode::kScalar;
 
-  Counter* submitted_ = nullptr;
-  Counter* dropped_ = nullptr;
-  Counter* processed_ = nullptr;
-  Counter* matched_ = nullptr;
-  Counter* swaps_ = nullptr;
-  Counter* swap_rejected_ = nullptr;
-  Counter* prefilter_skipped_ = nullptr;
-  Counter* prefilter_candidates_ = nullptr;
-  Counter* prefilter_false_candidates_ = nullptr;
-  Histogram* queue_wait_ns_ = nullptr;
-  Histogram* match_ns_ = nullptr;
-  Histogram* ingest_ns_ = nullptr;   ///< Submit() wall time (incl. backpressure)
-  Histogram* verdict_ns_ = nullptr;  ///< enqueue → sink-done per packet
-  Gauge* epoch_version_gauge_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* dropped_ = nullptr;
+  obs::Counter* processed_ = nullptr;
+  obs::Counter* matched_ = nullptr;
+  obs::Counter* swaps_ = nullptr;
+  obs::Counter* swap_rejected_ = nullptr;
+  obs::Counter* prefilter_skipped_ = nullptr;
+  obs::Counter* prefilter_candidates_ = nullptr;
+  obs::Counter* prefilter_false_candidates_ = nullptr;
+  obs::Histogram* queue_wait_ns_ = nullptr;
+  obs::Histogram* match_ns_ = nullptr;
+  /// Submit() wall time (incl. backpressure).
+  obs::Histogram* ingest_ns_ = nullptr;
+  obs::Histogram* verdict_ns_ = nullptr;  ///< enqueue → sink-done per packet
+  obs::Gauge* epoch_version_gauge_ = nullptr;
   /// ingest_ns/verdict_ns are sampled 1-in-kLatencySampleEvery: the extra
   /// clock read per observation is measurable at full ingest rate (clock
   /// reads are a syscall on some hosts), and a sampled latency histogram

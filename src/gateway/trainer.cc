@@ -24,30 +24,24 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
       clock_(options.clock != nullptr ? options.clock : Clock::Real()),
       mailbox_(options.queue_capacity == 0 ? 1 : options.queue_capacity) {
   if (options_.forward_normal_every == 0) options_.forward_normal_every = 1;
-  MetricsRegistry* metrics = gateway_->metrics();
-  // Tenant trainers share one registry: label their series so per-tenant
-  // retrain rates and WAL health stay distinguishable on the scrape surface.
-  obs::Labels labels;
-  if (!options_.tenant.empty()) labels = {{"tenant", options_.tenant}};
-  ingested_ = metrics->GetCounter("trainer.ingested", labels);
-  drops_ = metrics->GetCounter("trainer.dropped", labels);
-  retrains_ = metrics->GetCounter("trainer.retrains", labels);
-  wal_appends_ = metrics->GetCounter("trainer.wal_appends", labels);
-  wal_errors_ = metrics->GetCounter("trainer.wal_errors", labels);
-  snapshots_ = metrics->GetCounter("trainer.snapshots", labels);
-  snapshot_errors_ = metrics->GetCounter("trainer.snapshot_errors", labels);
-  ncd_pair_hits_ = metrics->GetCounter("trainer.ncd_pair_hits", labels);
-  ncd_pairs_computed_ =
-      metrics->GetCounter("trainer.ncd_pairs_computed", labels);
+  obs::Registry* metrics = gateway_->metrics();
+  ingested_ = metrics->GetCounter("trainer.ingested");
+  drops_ = metrics->GetCounter("trainer.dropped");
+  retrains_ = metrics->GetCounter("trainer.retrains");
+  wal_appends_ = metrics->GetCounter("trainer.wal_appends");
+  wal_errors_ = metrics->GetCounter("trainer.wal_errors");
+  snapshots_ = metrics->GetCounter("trainer.snapshots");
+  snapshot_errors_ = metrics->GetCounter("trainer.snapshot_errors");
+  ncd_pair_hits_ = metrics->GetCounter("trainer.ncd_pair_hits");
+  ncd_pairs_computed_ = metrics->GetCounter("trainer.ncd_pairs_computed");
   singleton_compressions_ =
-      metrics->GetCounter("trainer.singleton_compressions", labels);
-  archive_bytes_ = metrics->GetGauge("trainer.archive_bytes", labels);
-  retrain_ns_ = metrics->GetHistogram("trainer.retrain_ns", labels);
-  compile_ns_ = metrics->GetHistogram("trainer.compile_ns", labels);
-  stage_distance_ns_ =
-      metrics->GetHistogram("trainer.stage_distance_ns", labels);
-  stage_cluster_ns_ = metrics->GetHistogram("trainer.stage_cluster_ns", labels);
-  stage_siggen_ns_ = metrics->GetHistogram("trainer.stage_siggen_ns", labels);
+      metrics->GetCounter("trainer.singleton_compressions");
+  archive_bytes_ = metrics->GetGauge("trainer.archive_bytes");
+  retrain_ns_ = metrics->GetHistogram("trainer.retrain_ns");
+  compile_ns_ = metrics->GetHistogram("trainer.compile_ns");
+  stage_distance_ns_ = metrics->GetHistogram("trainer.stage_distance_ns");
+  stage_cluster_ns_ = metrics->GetHistogram("trainer.stage_cluster_ns");
+  stage_siggen_ns_ = metrics->GetHistogram("trainer.stage_siggen_ns");
   // The publication hook: runs on this trainer's thread inside
   // Ingest()/Retrain(), immediately after the feed version advances.
   server_->SetFeedObserver(
@@ -64,11 +58,7 @@ TrainerLoop::TrainerLoop(core::SignatureServer* server,
                               static_cast<int64_t>(epoch.feed.size()));
           epoch = ArchivedEpoch{std::move(feed), compiled};
         }
-        if (options_.tenant.empty()) {
-          gateway_->Publish(std::move(compiled));
-        } else {
-          gateway_->PublishTenant(options_.tenant, std::move(compiled));
-        }
+        gateway_->Publish(std::move(compiled));
         feeds_published_.fetch_add(1, std::memory_order_relaxed);
       });
 }

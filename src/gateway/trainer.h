@@ -12,8 +12,8 @@
 #include "core/signature_server.h"
 #include "gateway/bounded_queue.h"
 #include "gateway/gateway.h"
-#include "gateway/metrics.h"
 #include "match/compiled_set.h"
+#include "obs/metrics.h"
 #include "store/store_manager.h"
 #include "util/statusor.h"
 
@@ -37,12 +37,6 @@ struct TrainerOptions {
   /// The caller should StoreManager::Recover() into the server before
   /// Start().
   store::StoreManager* store = nullptr;
-  /// Signature namespace this trainer publishes into ("" = the default
-  /// namespace, i.e. DetectionGateway::Publish). Non-empty routes every
-  /// epoch through PublishTenant and labels the trainer.* metric families
-  /// with {tenant=<name>}, so multiple tenant trainers can share one
-  /// gateway and one registry without colliding.
-  std::string tenant;
 };
 
 /// The single training thread behind the gateway: drains (packet, verdict)
@@ -143,24 +137,24 @@ class TrainerLoop {
   mutable std::mutex archive_mu_;
   mutable std::map<uint64_t, ArchivedEpoch> archive_;
 
-  Counter* ingested_ = nullptr;
-  Counter* drops_ = nullptr;
-  Counter* retrains_ = nullptr;
-  Counter* wal_appends_ = nullptr;
-  Counter* wal_errors_ = nullptr;
-  Counter* snapshots_ = nullptr;
-  Counter* snapshot_errors_ = nullptr;
-  Counter* ncd_pair_hits_ = nullptr;
-  Counter* ncd_pairs_computed_ = nullptr;
-  Counter* singleton_compressions_ = nullptr;
-  Gauge* archive_bytes_ = nullptr;
-  Histogram* retrain_ns_ = nullptr;
-  Histogram* compile_ns_ = nullptr;
+  obs::Counter* ingested_ = nullptr;
+  obs::Counter* drops_ = nullptr;
+  obs::Counter* retrains_ = nullptr;
+  obs::Counter* wal_appends_ = nullptr;
+  obs::Counter* wal_errors_ = nullptr;
+  obs::Counter* snapshots_ = nullptr;
+  obs::Counter* snapshot_errors_ = nullptr;
+  obs::Counter* ncd_pair_hits_ = nullptr;
+  obs::Counter* ncd_pairs_computed_ = nullptr;
+  obs::Counter* singleton_compressions_ = nullptr;
+  obs::Gauge* archive_bytes_ = nullptr;
+  obs::Histogram* retrain_ns_ = nullptr;
+  obs::Histogram* compile_ns_ = nullptr;
   // Per-stage retrain breakdown, taken from the DistanceMatrixStats the
   // pipeline stamps (matrix build / clustering / signature generation).
-  Histogram* stage_distance_ns_ = nullptr;
-  Histogram* stage_cluster_ns_ = nullptr;
-  Histogram* stage_siggen_ns_ = nullptr;
+  obs::Histogram* stage_distance_ns_ = nullptr;
+  obs::Histogram* stage_cluster_ns_ = nullptr;
+  obs::Histogram* stage_siggen_ns_ = nullptr;
 };
 
 }  // namespace leakdet::gateway

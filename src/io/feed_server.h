@@ -74,11 +74,6 @@ class FeedServer {
         outcomes_(registry_, "feedserver.requests", "outcome"),
         request_ns_(registry_->GetHistogram("feedserver.request_ns")) {}
 
-  /// Back-compat form: `read_timeout_ms` is the whole-request budget.
-  FeedServer(FeedProvider provider, int read_timeout_ms)
-      : FeedServer(std::move(provider),
-                   FeedServerOptions{.request_deadline_ms = read_timeout_ms}) {}
-
   ~FeedServer();
   FeedServer(const FeedServer&) = delete;
   FeedServer& operator=(const FeedServer&) = delete;

@@ -1,6 +1,6 @@
-// End-to-end multi-tenant federation: two tenants share one gateway, each
-// training into its own signature namespace with its own K-anonymity policy
-// and its own store lineage, with feeds served per tenant over HTTP.
+// End-to-end multi-tenant federation: each tenant trains into its own
+// gateway with its own K-anonymity policy and its own store lineage, with
+// feeds served per tenant over HTTP.
 
 #include "federation/hub.h"
 
@@ -110,7 +110,6 @@ TEST(FederationHubTest, TwoTenantsTrainIntoSeparateNamespaces) {
   ASSERT_TRUE(hub.AddTenant("acme").ok());
   ASSERT_TRUE(hub.AddTenant("globex").ok());
   EXPECT_FALSE(hub.AddTenant("acme").ok()) << "duplicate tenant accepted";
-  gateway.set_sink(hub.Sink());
   ASSERT_TRUE(gateway.Start().ok());
   ASSERT_TRUE(hub.Start().ok());
 
@@ -129,13 +128,23 @@ TEST(FederationHubTest, TwoTenantsTrainIntoSeparateNamespaces) {
   gateway.Stop();
   hub.Stop();
 
-  // Epochs landed in per-tenant namespaces, not the default one.
-  EXPECT_GE(gateway.tenant_version("acme"), 1u);
-  EXPECT_GE(gateway.tenant_version("globex"), 1u);
-  EXPECT_NE(gateway.tenant_set("acme"), nullptr);
-  EXPECT_NE(gateway.tenant_set("globex"), nullptr);
+  // Epochs landed in each tenant's own gateway, not the caller's one.
+  ASSERT_NE(hub.gateway("acme"), nullptr);
+  ASSERT_NE(hub.gateway("globex"), nullptr);
+  EXPECT_EQ(hub.gateway("nosuch"), nullptr);
+  EXPECT_NE(hub.gateway("acme"), hub.gateway("globex"));
+  EXPECT_GE(hub.gateway("acme")->current_version(), 1u);
+  EXPECT_GE(hub.gateway("globex")->current_version(), 1u);
+  EXPECT_NE(hub.gateway("acme")->current_set(), nullptr);
+  EXPECT_NE(hub.gateway("globex")->current_set(), nullptr);
+  // Tenant gateways take the caller's shape.
+  EXPECT_EQ(hub.gateway("acme")->num_shards(), gateway.num_shards());
+  // A tenant publish leaves the caller's gateway untouched: no epoch, no
+  // swap, and no publish time for /statusz to age from.
   EXPECT_EQ(gateway.current_version(), 0u)
       << "tenant feed leaked into default";
+  EXPECT_EQ(gateway.swaps(), 0u);
+  EXPECT_EQ(gateway.epoch_age_ns(), 0u);
 
   // The cached tenant feed is exactly what the tenant's server last
   // published.
@@ -173,7 +182,6 @@ TEST(FederationHubTest, UnknownTenantFallsBackToDefaultNamespace) {
   FederationHub hub(&gateway, world.oracle.get(), ResolveByApp,
                     world.Options());
   ASSERT_TRUE(hub.AddTenant("acme").ok());
-  gateway.set_sink(hub.Sink());
   ASSERT_TRUE(gateway.Start().ok());
   ASSERT_TRUE(hub.Start().ok());
 
@@ -184,6 +192,8 @@ TEST(FederationHubTest, UnknownTenantFallsBackToDefaultNamespace) {
   hub.Stop();
   EXPECT_EQ(world.registry.GetCounter("federation.unknown_tenant")->Value(),
             1u);
+  EXPECT_EQ(gateway.processed(), 1u);
+  EXPECT_EQ(hub.gateway("acme")->submitted(), 0u);
 }
 
 TEST(FederationHubTest, TenantLineagesPersistAndRecover) {
@@ -199,7 +209,6 @@ TEST(FederationHubTest, TenantLineagesPersistAndRecover) {
     FederationHub hub(&gateway, world.oracle.get(), ResolveByApp, options);
     ASSERT_TRUE(hub.AddTenant("acme").ok());
     ASSERT_TRUE(hub.AddTenant("globex").ok());
-    gateway.set_sink(hub.Sink());
     ASSERT_TRUE(gateway.Start().ok());
     ASSERT_TRUE(hub.Start().ok());
     for (int i = 0; i < 300; ++i) {
@@ -223,7 +232,7 @@ TEST(FederationHubTest, TenantLineagesPersistAndRecover) {
             (std::vector<std::string>{"acme", "globex"}));
 
   // A fresh hub over the same root recovers acme's feed and republishes its
-  // epoch into the gateway before any traffic flows.
+  // epoch into acme's gateway before any traffic flows.
   {
     gateway::DetectionGateway gateway(gateway::GatewayOptions{});
     HubOptions options = world.Options();
@@ -235,7 +244,8 @@ TEST(FederationHubTest, TenantLineagesPersistAndRecover) {
     ASSERT_TRUE(feed.has_value());
     EXPECT_EQ(feed->first, acme_version);
     EXPECT_EQ(feed->second, acme_feed);
-    EXPECT_EQ(gateway.tenant_version("acme"), acme_version);
+    EXPECT_EQ(hub.gateway("acme")->current_version(), acme_version);
+    EXPECT_EQ(gateway.current_version(), 0u);
     hub.Stop();
   }
 }
@@ -247,7 +257,6 @@ TEST(FederationHubTest, FeedServerServesPerTenantFeeds) {
                     world.Options());
   ASSERT_TRUE(hub.AddTenant("acme").ok());
   ASSERT_TRUE(hub.AddTenant("globex").ok());
-  gateway.set_sink(hub.Sink());
   ASSERT_TRUE(gateway.Start().ok());
   ASSERT_TRUE(hub.Start().ok());
   for (int i = 0; i < 300; ++i) {

@@ -1,4 +1,4 @@
-#include "gateway/metrics.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@ namespace leakdet::gateway {
 namespace {
 
 TEST(CounterTest, StartsAtZeroAndAccumulates) {
-  Counter c;
+  obs::Counter c;
   EXPECT_EQ(c.Value(), 0u);
   c.Inc();
   c.Inc(41);
@@ -17,7 +17,7 @@ TEST(CounterTest, StartsAtZeroAndAccumulates) {
 }
 
 TEST(CounterTest, ConcurrentIncrementsAreExact) {
-  Counter c;
+  obs::Counter c;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -31,13 +31,13 @@ TEST(CounterTest, ConcurrentIncrementsAreExact) {
 }
 
 TEST(HistogramTest, BucketsObservationsByPowerOfTwo) {
-  Histogram h;
+  obs::Histogram h;
   h.Observe(0);    // bucket 0
   h.Observe(1);    // bucket 0 ([1,2))
   h.Observe(2);    // bucket 1
   h.Observe(3);    // bucket 1
   h.Observe(800);  // bucket 9 ([512,1024))
-  Histogram::Snapshot snap = h.Take();
+  obs::Histogram::Snapshot snap = h.Take();
   EXPECT_EQ(snap.count, 5u);
   EXPECT_EQ(snap.sum, 806u);
   EXPECT_EQ(snap.buckets[0], 2u);
@@ -46,34 +46,34 @@ TEST(HistogramTest, BucketsObservationsByPowerOfTwo) {
 }
 
 TEST(HistogramTest, HugeValuesLandInLastBucket) {
-  Histogram h;
+  obs::Histogram h;
   h.Observe(~uint64_t{0});
-  Histogram::Snapshot snap = h.Take();
-  EXPECT_EQ(snap.buckets[Histogram::kNumBuckets - 1], 1u);
+  obs::Histogram::Snapshot snap = h.Take();
+  EXPECT_EQ(snap.buckets[obs::Histogram::kNumBuckets - 1], 1u);
 }
 
 TEST(HistogramTest, MeanAndQuantiles) {
-  Histogram h;
+  obs::Histogram h;
   for (int i = 0; i < 90; ++i) h.Observe(100);   // bucket 6: [64,128)
   for (int i = 0; i < 10; ++i) h.Observe(5000);  // bucket 12: [4096,8192)
-  Histogram::Snapshot snap = h.Take();
+  obs::Histogram::Snapshot snap = h.Take();
   EXPECT_NEAR(snap.Mean(), (90 * 100 + 10 * 5000) / 100.0, 1e-9);
   EXPECT_EQ(snap.Quantile(0.5), uint64_t{128});    // in the [64,128) bucket
   EXPECT_EQ(snap.Quantile(0.99), uint64_t{8192});  // tail bucket upper edge
 }
 
 TEST(HistogramTest, EmptySnapshotIsSane) {
-  Histogram h;
-  Histogram::Snapshot snap = h.Take();
+  obs::Histogram h;
+  obs::Histogram::Snapshot snap = h.Take();
   EXPECT_EQ(snap.count, 0u);
   EXPECT_EQ(snap.Mean(), 0.0);
   EXPECT_EQ(snap.Quantile(0.99), 0u);
 }
 
 TEST(MetricsRegistryTest, SameNameReturnsSameMetric) {
-  MetricsRegistry registry;
-  Counter* a = registry.GetCounter("gateway.submitted");
-  Counter* b = registry.GetCounter("gateway.submitted");
+  obs::Registry registry;
+  obs::Counter* a = registry.GetCounter("gateway.submitted");
+  obs::Counter* b = registry.GetCounter("gateway.submitted");
   EXPECT_EQ(a, b);
   a->Inc(5);
   EXPECT_EQ(b->Value(), 5u);
@@ -82,7 +82,7 @@ TEST(MetricsRegistryTest, SameNameReturnsSameMetric) {
 }
 
 TEST(MetricsRegistryTest, TextDumpIsSortedAndComplete) {
-  MetricsRegistry registry;
+  obs::Registry registry;
   registry.GetCounter("b.count")->Inc(2);
   registry.GetCounter("a.count")->Inc(1);
   registry.GetHistogram("c.latency")->Observe(100);
@@ -98,8 +98,8 @@ TEST(MetricsRegistryTest, TextDumpIsSortedAndComplete) {
 }
 
 TEST(MetricsRegistryTest, PointersStableAcrossManyRegistrations) {
-  MetricsRegistry registry;
-  Counter* first = registry.GetCounter("first");
+  obs::Registry registry;
+  obs::Counter* first = registry.GetCounter("first");
   for (int i = 0; i < 100; ++i) {
     registry.GetCounter("extra." + std::to_string(i));
   }

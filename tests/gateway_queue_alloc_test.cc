@@ -61,13 +61,12 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace leakdet::gateway {
 namespace {
 
-/// The gateway's shard-queue item: a packet, its enqueue time and a tenant
-/// name. Every string here fits the small-string buffer, so the item itself
-/// owns no heap and any allocation counted below is the queue's own.
+/// The gateway's shard-queue item: a packet and its enqueue time. Every
+/// string here fits the small-string buffer, so the item itself owns no heap
+/// and any allocation counted below is the queue's own.
 struct Item {
   core::HttpPacket packet;
   std::chrono::steady_clock::time_point enqueued;
-  std::string tenant;
 };
 
 Item MakeItem(uint32_t i) {
@@ -103,7 +102,7 @@ TEST(BoundedQueueAllocTest, CountingAllocatorSeesAllocations) {
 }
 
 TEST(BoundedQueueAllocTest, PushPopBatchAllocatesNothingInSteadyState) {
-  ASSERT_EQ(sizeof(Item), 184u) << "update the item to the gateway's shape";
+  ASSERT_EQ(sizeof(Item), 152u) << "update the item to the gateway's shape";
   BoundedQueue<Item> q(kCapacity);
   WarmUp(&q);
   std::vector<Item> batch;

@@ -329,7 +329,8 @@ TEST(TrainerArchiveTest, ArchiveGrowsByTheSerializedFeedPerEpoch) {
   DetectionGateway gateway(GatewayOptions{});
   TrainerLoop trainer(&server, &gateway, TrainerOptions{});
   for (const sim::LabeledPacket& lp : trace.packets) server.Ingest(lp.packet);
-  Gauge* archive_bytes = gateway.metrics()->GetGauge("trainer.archive_bytes");
+  obs::Gauge* archive_bytes =
+      gateway.metrics()->GetGauge("trainer.archive_bytes");
   EXPECT_EQ(archive_bytes->Value(), 0);
 
   constexpr uint64_t kEpochs = 4;

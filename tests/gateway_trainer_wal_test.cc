@@ -317,7 +317,7 @@ TEST(TrainerWalAppendTest, FailedAppendIsNeverIngested) {
   ASSERT_TRUE(trainer.Offer(GeneratePacket(&rng, tokens, 1.0), verdict));
   WaitForProcessed(trainer, 1);
 
-  MetricsRegistry* metrics = gateway.metrics();
+  obs::Registry* metrics = gateway.metrics();
   EXPECT_EQ(metrics->GetCounter("trainer.wal_errors", {})->Value(), 1u);
   EXPECT_EQ(metrics->GetCounter("trainer.wal_appends", {})->Value(), 0u);
   EXPECT_EQ(metrics->GetCounter("trainer.ingested", {})->Value(), 0u);

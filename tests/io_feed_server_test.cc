@@ -188,7 +188,7 @@ TEST(FeedServerTest, LargeFeedSurvivesPartialWrites) {
 
 TEST(FeedServerTest, IdleClientCannotWedgeTheServer) {
   FeedServer server([] { return std::make_pair(uint64_t{4}, std::string()); },
-                    /*read_timeout_ms=*/100);
+                    FeedServerOptions{.request_deadline_ms = 100});
   ASSERT_TRUE(server.Start().ok());
   // Connect and send nothing: without a read deadline this connection would
   // park the accept loop forever.

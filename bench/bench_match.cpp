@@ -5,16 +5,17 @@
 // clean packets, one in --leak-every carrying every token of some
 // signature):
 //
-// 1. Prefilter scan cost: ns/packet for Prefilter::Scan alone, per kernel
-//    (scalar, SSE2, AVX2 — whichever the CPU can run), plus the skip rate
-//    the screen achieves on this workload.
+// 1. Prefilter scan cost: ns/packet for Prefilter::Scan alone, plus the
+//    skip rate the screen achieves on this workload.
 // 2. Match path: ns/packet for the plain DFA (MatchInto) vs the prefiltered
-//    path (MatchIntoPrefiltered) per kernel; "match_speedup_<mode>" is the
-//    ratio, the single-node throughput multiplier the prefilter buys.
-// 3. Gateway: end-to-end packets/s through a one-shard DetectionGateway with
-//    single-packet drains (pop_batch=1) vs batched drains (pop_batch=64),
-//    prefilter on; and batched with the prefilter forced off — the batching
-//    and screening contributions separately.
+//    path (MatchIntoPrefiltered); "match_speedup_scalar" is the ratio.
+// 3. Gateway: end-to-end packets/s through a one-shard DetectionGateway
+//    (which matches with the DFA alone) with single-packet drains
+//    (pop_batch=1) vs batched drains (pop_batch=64).
+//
+// The random-hex feed is synthetic: its clean packets share no 4-byte
+// window with any signature, so the prefilter skips almost all of them.
+// Feeds trained on sim traffic give the prefilter nothing to skip.
 //
 // Timed phases repeat --reps times; the fastest repetition is reported
 // (noise is strictly additive).
@@ -26,9 +27,9 @@
 //
 // --selfcheck asserts correctness on the benched workload instead of
 // timing: MatchIntoPrefiltered must return bit-identical hits to MatchInto
-// for every packet in every available kernel mode, and the gateway runs
-// (batched, unbatched, prefilter off) must produce identical verdict
-// streams. Exits nonzero on violation; used by the `perf` ctest smoke run.
+// for every packet, and the batched and unbatched gateway runs must
+// produce identical verdict streams. Exits nonzero on violation; used by
+// the `perf` ctest smoke run.
 
 #include <atomic>
 #include <chrono>
@@ -142,13 +143,6 @@ double NsSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-std::vector<prefilter::Mode> AvailableModes() {
-  std::vector<prefilter::Mode> modes = {prefilter::Mode::kScalar};
-  if (prefilter::Sse2Available()) modes.push_back(prefilter::Mode::kSse2);
-  if (prefilter::Avx2Available()) modes.push_back(prefilter::Mode::kAvx2);
-  return modes;
-}
-
 // Fastest-of-reps ns/packet for `body(packet_index)` over all contents.
 template <typename Body>
 double BenchNsPerPacket(const Args& args, size_t n, Body&& body) {
@@ -166,7 +160,6 @@ double BenchNsPerPacket(const Args& args, size_t n, Body&& body) {
 // gateway, returns packets/s over the submit+drain wall time and the
 // verdict stream (signature hit counts per packet, in order).
 double RunGateway(const std::vector<std::string>& contents, size_t pop_batch,
-                  prefilter::Mode mode,
                   std::shared_ptr<const CompiledSignatureSet> compiled,
                   std::vector<uint32_t>* verdicts) {
   gateway::GatewayOptions options;
@@ -174,7 +167,6 @@ double RunGateway(const std::vector<std::string>& contents, size_t pop_batch,
   options.queue_capacity = 4096;
   options.pop_batch = pop_batch;
   options.overload = gateway::OverloadPolicy::kBlock;
-  options.prefilter = mode;
   gateway::DetectionGateway gw(options);
   gw.Publish(std::move(compiled));
   verdicts->clear();
@@ -206,7 +198,7 @@ int main(int argc, char** argv) {
   SignatureSet set = MakeSignatures(args);
   auto compiled = std::make_shared<const CompiledSignatureSet>(set, 1);
   std::vector<std::string> contents = MakeContents(set, args);
-  const std::vector<prefilter::Mode> modes = AvailableModes();
+  const prefilter::Mode mode = prefilter::Mode::kScalar;
   const size_t n = contents.size();
 
   // ---- correctness: the prefiltered path must equal the oracle ----------
@@ -216,22 +208,15 @@ int main(int argc, char** argv) {
     MatchScratch oracle, scratch;
     for (size_t i = 0; i < n; ++i) {
       size_t want = compiled->MatchInto(contents[i], {}, &oracle);
-      for (prefilter::Mode mode : modes) {
-        match::PrefilterOutcome outcome;
-        size_t got = compiled->MatchIntoPrefiltered(contents[i], {}, &scratch,
-                                                    mode, &outcome);
-        if (got != want || scratch.hits != oracle.hits) {
-          std::fprintf(stderr,
-                       "DIVERGENCE packet %zu mode %s: got %zu want %zu\n", i,
-                       prefilter::ModeName(mode), got, want);
-          all_ok = false;
-        }
-        // Skip rate is mode-independent (same table); count once.
-        if (mode == modes[0] &&
-            outcome == match::PrefilterOutcome::kSkipped) {
-          ++skipped;
-        }
+      match::PrefilterOutcome outcome;
+      size_t got = compiled->MatchIntoPrefiltered(contents[i], {}, &scratch,
+                                                  mode, &outcome);
+      if (got != want || scratch.hits != oracle.hits) {
+        std::fprintf(stderr, "DIVERGENCE packet %zu: got %zu want %zu\n", i,
+                     got, want);
+        all_ok = false;
       }
+      if (outcome == match::PrefilterOutcome::kSkipped) ++skipped;
     }
   }
   const double skip_rate = static_cast<double>(skipped) /
@@ -239,19 +224,18 @@ int main(int argc, char** argv) {
   std::printf("packets=%zu sigs=%zu skip_rate=%.4f\n", n, args.num_sigs,
               skip_rate);
 
-  // ---- 1. prefilter scan cost per kernel --------------------------------
+  // ---- 1. prefilter scan cost -------------------------------------------
   const prefilter::Prefilter& pf = compiled->prefilter();
-  std::vector<std::pair<std::string, double>> scan_ns;
-  for (prefilter::Mode mode : modes) {
+  double scan_ns;
+  {
     prefilter::ScanScratch scratch;
     uint64_t sink = 0;
-    double ns = BenchNsPerPacket(args, n, [&](size_t i) {
+    scan_ns = BenchNsPerPacket(args, n, [&](size_t i) {
       sink += pf.Scan(contents[i], &scratch, mode) ? 1 : 0;
     });
     if (sink == UINT64_MAX) std::printf("impossible\n");  // keep `sink` live
-    scan_ns.emplace_back(prefilter::ModeName(mode), ns);
-    std::printf("scan[%s]: %.1f ns/packet\n", prefilter::ModeName(mode), ns);
   }
+  std::printf("scan: %.1f ns/packet\n", scan_ns);
 
   // ---- 2. DFA oracle vs prefiltered match path --------------------------
   MatchScratch scratch;
@@ -259,86 +243,54 @@ int main(int argc, char** argv) {
     compiled->MatchInto(contents[i], {}, &scratch);
   });
   std::printf("match[dfa]: %.1f ns/packet\n", dfa_ns);
-  std::vector<std::pair<std::string, double>> match_ns;
-  double best_speedup = 0;
-  for (prefilter::Mode mode : modes) {
-    double ns = BenchNsPerPacket(args, n, [&](size_t i) {
-      compiled->MatchIntoPrefiltered(contents[i], {}, &scratch, mode);
-    });
-    match_ns.emplace_back(prefilter::ModeName(mode), ns);
-    double speedup = ns > 0 ? dfa_ns / ns : 0;
-    if (speedup > best_speedup) best_speedup = speedup;
-    std::printf("match[%s]: %.1f ns/packet (%.2fx vs dfa)\n",
-                prefilter::ModeName(mode), ns, speedup);
-  }
+  double prefiltered_ns = BenchNsPerPacket(args, n, [&](size_t i) {
+    compiled->MatchIntoPrefiltered(contents[i], {}, &scratch, mode);
+  });
+  const double speedup = prefiltered_ns > 0 ? dfa_ns / prefiltered_ns : 0;
+  std::printf("match[prefiltered]: %.1f ns/packet (%.2fx vs dfa)\n",
+              prefiltered_ns, speedup);
 
-  // ---- 3. gateway: unbatched vs batched, prefilter on vs off ------------
-  std::vector<uint32_t> verdicts_single, verdicts_batched, verdicts_off;
-  double pps_single = 0, pps_batched = 0, pps_off = 0;
+  // ---- 3. gateway: unbatched vs batched ---------------------------------
+  std::vector<uint32_t> verdicts_single, verdicts_batched;
+  double pps_single = 0, pps_batched = 0;
   for (size_t rep = 0; rep < args.reps; ++rep) {
-    double a = RunGateway(contents, 1, prefilter::Mode::kAuto, compiled,
-                          &verdicts_single);
-    double b = RunGateway(contents, 64, prefilter::Mode::kAuto, compiled,
-                          &verdicts_batched);
-    double c = RunGateway(contents, 64, prefilter::Mode::kOff, compiled,
-                          &verdicts_off);
+    double a = RunGateway(contents, 1, compiled, &verdicts_single);
+    double b = RunGateway(contents, 64, compiled, &verdicts_batched);
     if (a > pps_single) pps_single = a;
     if (b > pps_batched) pps_batched = b;
-    if (c > pps_off) pps_off = c;
-    if (verdicts_single != verdicts_batched ||
-        verdicts_single != verdicts_off) {
+    if (verdicts_single != verdicts_batched) {
       std::fprintf(stderr, "gateway verdict streams diverged (rep %zu)\n",
                    rep);
       all_ok = false;
     }
   }
-  std::printf(
-      "gateway: single=%.0f pps batched=%.0f pps batched_prefilter_off=%.0f "
-      "pps\n",
-      pps_single, pps_batched, pps_off);
+  std::printf("gateway: single=%.0f pps batched=%.0f pps\n", pps_single,
+              pps_batched);
 
   if (args.selfcheck) {
     std::printf("selfcheck: %s\n", all_ok ? "ok" : "FAILED");
   }
 
-  std::string json = "{\n";
-  char buf[256];
+  char buf[1024];
   std::snprintf(buf, sizeof(buf),
+                "{\n"
                 "  \"packets\": %zu,\n  \"num_sigs\": %zu,\n"
                 "  \"tokens_per_sig\": %zu,\n  \"leak_every\": %zu,\n"
-                "  \"prefilter_skip_rate\": %.4f,\n",
-                n, args.num_sigs, args.tokens_per_sig, args.leak_every,
-                skip_rate);
-  json += buf;
-  for (const auto& [name, ns] : scan_ns) {
-    std::snprintf(buf, sizeof(buf), "  \"scan_ns_per_packet_%s\": %.1f,\n",
-                  name.c_str(), ns);
-    json += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "  \"match_ns_per_packet_dfa\": %.1f,\n",
-                dfa_ns);
-  json += buf;
-  for (const auto& [name, ns] : match_ns) {
-    std::snprintf(buf, sizeof(buf),
-                  "  \"match_ns_per_packet_%s\": %.1f,\n"
-                  "  \"match_speedup_%s\": %.2f,\n",
-                  name.c_str(), ns, name.c_str(), ns > 0 ? dfa_ns / ns : 0);
-    json += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "  \"match_speedup_best\": %.2f,\n"
+                "  \"prefilter_skip_rate\": %.4f,\n"
+                "  \"scan_ns_per_packet_scalar\": %.1f,\n"
+                "  \"match_ns_per_packet_dfa\": %.1f,\n"
+                "  \"match_ns_per_packet_scalar\": %.1f,\n"
+                "  \"match_speedup_scalar\": %.2f,\n"
                 "  \"gateway_pps_single\": %.0f,\n"
                 "  \"gateway_pps_batched\": %.0f,\n"
-                "  \"gateway_pps_batched_prefilter_off\": %.0f,\n"
-                "  \"gateway_batching_speedup\": %.2f,\n"
-                "  \"gateway_prefilter_speedup\": %.2f\n",
-                best_speedup, pps_single, pps_batched, pps_off,
-                pps_single > 0 ? pps_batched / pps_single : 0,
-                pps_off > 0 ? pps_batched / pps_off : 0);
-  json += buf;
-  json += "}\n";
+                "  \"gateway_batching_speedup\": %.2f\n"
+                "}\n",
+                n, args.num_sigs, args.tokens_per_sig, args.leak_every,
+                skip_rate, scan_ns, dfa_ns, prefiltered_ns, speedup,
+                pps_single, pps_batched,
+                pps_single > 0 ? pps_batched / pps_single : 0);
   if (FILE* f = std::fopen(args.out.c_str(), "w"); f != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), f);
+    std::fputs(buf, f);
     std::fclose(f);
     std::printf("wrote %s\n", args.out.c_str());
   } else {

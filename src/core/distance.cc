@@ -28,15 +28,12 @@ double PacketDistance::CombineDestination(const DistanceOptions& options,
     d_ip = 1.0 - ip_sim;
     d_port = 1.0 - port_sim;
   }
-  return options.ip_weight * d_ip + options.port_weight * d_port +
-         options.host_weight * host_dist;
+  return d_ip + d_port + host_dist;
 }
 
-double PacketDistance::CombineContent(const DistanceOptions& options,
-                                      double d_rline, double d_cookie,
+double PacketDistance::CombineContent(double d_rline, double d_cookie,
                                       double d_body) {
-  return options.rline_weight * d_rline + options.cookie_weight * d_cookie +
-         options.body_weight * d_body;
+  return d_rline + d_cookie + d_body;
 }
 
 double PacketDistance::DestinationDistance(const HttpPacket& x,
@@ -63,7 +60,7 @@ double PacketDistance::ContentDistance(const HttpPacket& x,
   double d_rline = ncd_->Ncd(x.request_line, y.request_line);
   double d_cookie = ncd_->Ncd(x.cookie, y.cookie);
   double d_body = ncd_->Ncd(x.body, y.body);
-  return CombineContent(options_, d_rline, d_cookie, d_body);
+  return CombineContent(d_rline, d_cookie, d_body);
 }
 
 double PacketDistance::Distance(const HttpPacket& x,
@@ -76,12 +73,8 @@ double PacketDistance::Distance(const HttpPacket& x,
 
 double PacketDistance::MaxDistance() const {
   double m = 0;
-  if (options_.use_destination) {
-    m += options_.ip_weight + options_.port_weight + options_.host_weight;
-  }
-  if (options_.use_content) {
-    m += options_.rline_weight + options_.cookie_weight + options_.body_weight;
-  }
+  if (options_.use_destination) m += 3.0;
+  if (options_.use_content) m += 3.0;
   return m;
 }
 
@@ -347,8 +340,7 @@ DistanceMatrix ComputeDistanceMatrixParallel(
             double d_rline = rline.Ncd(rline.id(i), rline.id(j));
             double d_cookie = cookie.Ncd(cookie.id(i), cookie.id(j));
             double d_body = body.Ncd(body.id(i), body.id(j));
-            d += PacketDistance::CombineContent(options, d_rline, d_cookie,
-                                                d_body);
+            d += PacketDistance::CombineContent(d_rline, d_cookie, d_body);
           }
           m.set(i, j, d);
         }

@@ -33,15 +33,6 @@ struct DistanceOptions {
   /// Setting this true uses the literal published formulas instead; the
   /// ablation bench quantifies the difference.
   bool literal_similarity_orientation = false;
-
-  /// Per-component weights (all 1.0 in the paper, where the composite is a
-  /// plain sum).
-  double ip_weight = 1.0;
-  double port_weight = 1.0;
-  double host_weight = 1.0;
-  double rline_weight = 1.0;
-  double cookie_weight = 1.0;
-  double body_weight = 1.0;
 };
 
 /// Computes the paper's packet distance
@@ -60,22 +51,21 @@ class PacketDistance {
   /// d_header = ncd(rline) + ncd(cookie) + ncd(body) (§IV-C).
   double ContentDistance(const HttpPacket& x, const HttpPacket& y) const;
 
-  /// Weighted destination combination (orientation flag applied). Shared by
-  /// DestinationDistance and the optimized matrix builder so both perform
-  /// bit-identical floating-point arithmetic.
+  /// Destination sum d_ip + d_port + d_host (orientation flag applied).
+  /// Shared by DestinationDistance and the optimized matrix builder so both
+  /// perform bit-identical floating-point arithmetic.
   static double CombineDestination(const DistanceOptions& options,
                                    double ip_sim, double port_sim,
                                    double host_dist);
 
-  /// Weighted content combination; same sharing rationale.
-  static double CombineContent(const DistanceOptions& options, double d_rline,
-                               double d_cookie, double d_body);
+  /// Content sum d_rline + d_cookie + d_body; same sharing rationale.
+  static double CombineContent(double d_rline, double d_cookie, double d_body);
 
   /// d_pkt = d_dst + d_header (§IV-D), honoring the enable flags.
   double Distance(const HttpPacket& x, const HttpPacket& y) const;
 
   /// Largest possible Distance() under the current options (for
-  /// normalization in reports): the sum of the active component weights.
+  /// normalization in reports): one per active component, each in [0, 1].
   double MaxDistance() const;
 
   const DistanceOptions& options() const { return options_; }

@@ -116,13 +116,12 @@ void FederationHub::Stop() {
   }
 }
 
-bool FederationHub::Submit(uint64_t device_key,
-                           const core::HttpPacket& packet) {
+bool FederationHub::Submit(uint64_t device_key, core::HttpPacket packet) {
   std::string tenant = resolver_(packet);
   Tenant* t = Find(tenant);
   if (t == nullptr) {
     unknown_tenant_->Inc();
-    return gateway_->Submit(device_key, packet);
+    return gateway_->Submit(device_key, std::move(packet));
   }
   t->submitted->Inc();
   uint64_t hash = DeviceWitnessHash(device_key);
@@ -130,15 +129,19 @@ bool FederationHub::Submit(uint64_t device_key,
     std::lock_guard<std::mutex> lock(t->witness_mu);
     ++t->observed;
     ObserveDevice(&t->devices, hash);
-    WitnessRecord record{hash, core::PacketContent(packet)};
+    // Once the ring is full, overwrite the oldest slot in place so its
+    // content string's buffer is reused.
+    WitnessRecord* record;
     if (t->ring.size() < t->config.witness_window) {
-      t->ring.push_back(std::move(record));
+      record = &t->ring.emplace_back();
     } else {
-      t->ring[t->ring_next] = std::move(record);
+      record = &t->ring[t->ring_next];
       t->ring_next = (t->ring_next + 1) % t->config.witness_window;
     }
+    record->device_hash = hash;
+    core::AppendPacketContent(packet, &record->content);
   }
-  return t->gateway->Submit(device_key, packet);
+  return t->gateway->Submit(device_key, std::move(packet));
 }
 
 match::SignatureSet FederationHub::GateFeed(Tenant* t, uint64_t version,

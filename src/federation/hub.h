@@ -111,7 +111,7 @@ class FederationHub {
   /// submits to the packet's tenant gateway. Packets resolving to an
   /// unconfigured tenant go to the caller's gateway (and are counted).
   /// Thread-safe.
-  bool Submit(uint64_t device_key, const core::HttpPacket& packet);
+  bool Submit(uint64_t device_key, core::HttpPacket packet);
 
   /// The (version, serialized feed) for `tenant`, nullopt if unknown —
   /// exactly the shape io::FeedServer::TenantFeedProvider wants. The feed

@@ -36,11 +36,6 @@ DetectionGateway::DetectionGateway(GatewayOptions options)
   matched_ = metrics_->GetCounter("gateway.matched");
   swaps_ = metrics_->GetCounter("gateway.swaps");
   swap_rejected_ = metrics_->GetCounter("gateway.swap_rejected");
-  prefilter_mode_ = prefilter::Resolve(options_.prefilter);
-  prefilter_skipped_ = metrics_->GetCounter("gateway.prefilter_skipped");
-  prefilter_candidates_ = metrics_->GetCounter("gateway.prefilter_candidates");
-  prefilter_false_candidates_ =
-      metrics_->GetCounter("gateway.prefilter_false_candidates");
   queue_wait_ns_ = metrics_->GetHistogram("gateway.queue_wait_ns");
   match_ns_ = metrics_->GetHistogram("gateway.match_ns");
   ingest_ns_ = metrics_->GetHistogram("gateway.ingest_ns");
@@ -165,7 +160,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
   std::shared_ptr<const match::CompiledSignatureSet> set;
   uint64_t set_version = 0;
   uint64_t verdict_sample = 0;  // per-worker 1-in-N latency sampling cursor
-  const prefilter::Mode pf_mode = prefilter_mode_;
   std::vector<Item> batch;
   batch.reserve(options_.pop_batch);
   // Per-batch scratch, reused so the steady state allocates nothing.
@@ -214,9 +208,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
     // Pass 2: match the batch. Counter deltas accumulate in locals and land
     // on the shared atomics once per batch (pass 3).
     uint64_t matched_in_batch = 0;
-    uint64_t pf_skipped = 0;
-    uint64_t pf_candidates = 0;
-    uint64_t pf_false_candidates = 0;
     verdicts.resize(n);
     auto match_start = clock_->Now();
     for (size_t j = 0; j < n; ++j) {
@@ -225,24 +216,9 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
       verdict.shard = static_cast<uint32_t>(shard_index);
       if (set) {
         verdict.feed_version = set->version();
-        match::PrefilterOutcome outcome;
-        verdict.num_matches =
-            static_cast<uint32_t>(set->MatchIntoPrefiltered(
-                contents[j], domains[j], &scratch, pf_mode, &outcome));
+        verdict.num_matches = static_cast<uint32_t>(
+            set->MatchInto(contents[j], domains[j], &scratch));
         verdict.sensitive = verdict.num_matches > 0;
-        switch (outcome) {
-          case match::PrefilterOutcome::kSkipped:
-            ++pf_skipped;
-            break;
-          case match::PrefilterOutcome::kCandidateMiss:
-            ++pf_false_candidates;
-            [[fallthrough]];
-          case match::PrefilterOutcome::kCandidateHit:
-            ++pf_candidates;
-            break;
-          case match::PrefilterOutcome::kDisabled:
-            break;
-        }
       }
       if (verdict.sensitive) ++matched_in_batch;
     }
@@ -273,11 +249,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
     if (matched_in_batch != 0) {
       matched_->Inc(matched_in_batch);
       shard.matched->Inc(matched_in_batch);
-    }
-    if (pf_skipped != 0) prefilter_skipped_->Inc(pf_skipped);
-    if (pf_candidates != 0) prefilter_candidates_->Inc(pf_candidates);
-    if (pf_false_candidates != 0) {
-      prefilter_false_candidates_->Inc(pf_false_candidates);
     }
   }
 }

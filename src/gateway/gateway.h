@@ -15,7 +15,6 @@
 #include "gateway/bounded_queue.h"
 #include "match/compiled_set.h"
 #include "obs/metrics.h"
-#include "prefilter/prefilter.h"
 #include "util/clock.h"
 #include "util/statusor.h"
 
@@ -40,12 +39,6 @@ struct GatewayOptions {
   /// Enforce signature host scopes against the packet destination's
   /// registrable domain (same switch as core::Detector).
   bool use_host_scope = true;
-  /// Prefilter kernel for the match hot path. kAuto resolves through
-  /// $LEAKDET_PREFILTER and CPUID at construction (prefilter::Resolve);
-  /// kOff sends every packet straight to the DFA — the escape hatch the
-  /// forced-off chaos/gateway suites use to prove verdict parity is not
-  /// prefilter-dependent. Verdicts are bit-identical either way.
-  prefilter::Mode prefilter = prefilter::Mode::kAuto;
   /// Time source for queue-wait and match timings. nullptr = Clock::Real().
   /// The harness injects a testing::VirtualClock here so timing histograms
   /// are deterministic under fault schedules.
@@ -84,9 +77,8 @@ struct Verdict {
 ///
 /// Match hot path: a batch is processed in three passes — materialize
 /// contents (prefetching the next packet's payload), match every packet
-/// through the epoch's rare-token prefilter (empty candidate bitmap = the
-/// dense DFA never runs; see prefilter::Prefilter), then one verdict flush
-/// plus one counter update for the whole batch.
+/// in one pass over the epoch's dense DFA, then one verdict flush plus one
+/// counter update for the whole batch.
 ///
 /// (std::atomic<std::shared_ptr> would express the same idea, but libstdc++
 /// implements it with a spinlock bit whose reader unlock is relaxed, which
@@ -166,21 +158,6 @@ class DetectionGateway {
   uint64_t matched() const { return matched_->Value(); }
   uint64_t swaps() const { return swaps_->Value(); }
 
-  /// The concrete prefilter kernel the workers run (kOff, kScalar, kSse2,
-  /// or kAvx2 — resolved once at construction).
-  prefilter::Mode prefilter_mode() const { return prefilter_mode_; }
-  /// Packets whose empty candidate bitmap skipped the DFA entirely.
-  uint64_t prefilter_skipped() const { return prefilter_skipped_->Value(); }
-  /// Packets with candidates that fell through to the restricted DFA.
-  uint64_t prefilter_candidates() const {
-    return prefilter_candidates_->Value();
-  }
-  /// Fell-through packets where no candidate actually matched (the
-  /// prefilter's false-positive count; false negatives are impossible).
-  uint64_t prefilter_false_candidates() const {
-    return prefilter_false_candidates_->Value();
-  }
-
  private:
   struct Item {
     core::HttpPacket packet;
@@ -217,18 +194,12 @@ class DetectionGateway {
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
 
-  /// Resolved once at construction (env + CPUID); workers read it lock-free.
-  prefilter::Mode prefilter_mode_ = prefilter::Mode::kScalar;
-
   obs::Counter* submitted_ = nullptr;
   obs::Counter* dropped_ = nullptr;
   obs::Counter* processed_ = nullptr;
   obs::Counter* matched_ = nullptr;
   obs::Counter* swaps_ = nullptr;
   obs::Counter* swap_rejected_ = nullptr;
-  obs::Counter* prefilter_skipped_ = nullptr;
-  obs::Counter* prefilter_candidates_ = nullptr;
-  obs::Counter* prefilter_false_candidates_ = nullptr;
   obs::Histogram* queue_wait_ns_ = nullptr;
   obs::Histogram* match_ns_ = nullptr;
   /// Submit() wall time (incl. backpressure).

@@ -18,8 +18,7 @@ struct MatchScratch {
   prefilter::ScanScratch prefilter;  ///< candidate bitmap of the last scan
 };
 
-/// What the prefilter did for one MatchIntoPrefiltered call (feeds the
-/// gateway.prefilter_* counters).
+/// What the prefilter did for one MatchIntoPrefiltered call.
 enum class PrefilterOutcome : uint8_t {
   kDisabled,       ///< mode off / empty set: the plain DFA path ran
   kSkipped,        ///< empty candidate bitmap: the DFA never ran
@@ -62,12 +61,11 @@ class CompiledSignatureSet {
   }
 
   /// MatchInto through the rare-token prefilter compiled with this epoch:
-  /// scans `content` with kernel `mode` first and (a) returns 0 without
-  /// touching the DFA when no signature is a candidate — the common case on
-  /// normal traffic — or (b) runs the DFA but checks only candidate
-  /// signatures. Hits are bit-identical to MatchInto in content, order, and
-  /// count (the prefilter never drops a signature the DFA would match; see
-  /// tests/fuzz_prefilter_test.cc for the differential proof). Pass
+  /// scans `content` first and (a) returns 0 without touching the DFA when
+  /// no signature is a candidate, or (b) runs the DFA but checks only
+  /// candidate signatures. Hits are bit-identical to MatchInto in content,
+  /// order, and count (the prefilter never drops a signature the DFA would
+  /// match; see tests/fuzz_prefilter_test.cc for the differential proof). Pass
   /// prefilter::Mode::kOff to bypass the prefilter (identical to MatchInto,
   /// outcome kDisabled). `outcome`, if non-null, reports which path ran.
   size_t MatchIntoPrefiltered(std::string_view content,
@@ -98,9 +96,8 @@ class CompiledSignatureSet {
   std::vector<int32_t> next_;         ///< dense delta: next_[state * 256 + byte]
   std::vector<uint32_t> out_begin_;   ///< CSR offsets into out_patterns_
   std::vector<uint32_t> out_patterns_;  ///< output closure per state
-  /// Rare-token prefilter compiled with the epoch, so every consumer of a
-  /// CompiledSignatureSet — hot-swap, cluster replication, per-tenant
-  /// federation namespaces — carries it for free.
+  /// Rare-token prefilter compiled with the epoch (MatchIntoPrefiltered).
+  /// The gateway matches through MatchInto and never reads it.
   prefilter::Prefilter prefilter_;
 
   /// Shared DFA scan: marks token presence in scratch->seen (the loop body

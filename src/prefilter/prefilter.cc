@@ -1,7 +1,6 @@
 #include "prefilter/prefilter.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <unordered_map>
 
@@ -14,82 +13,10 @@ namespace {
 using internal::kBloomBytes;
 using internal::kGroupSize;
 
-bool CpuHasAvx2() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-Mode BestAvailable() {
-  if (Avx2Available()) return Mode::kAvx2;
-  if (Sse2Available()) return Mode::kSse2;
-  return Mode::kScalar;
-}
-
-/// $LEAKDET_PREFILTER as a mode, or kAuto when unset/empty/unparseable
-/// (read fresh each call so tests and tools can flip it at runtime; Resolve
-/// is called at gateway construction, never per packet).
-Mode EnvMode() {
-  const char* env = std::getenv("LEAKDET_PREFILTER");
-  if (env == nullptr || *env == '\0') return Mode::kAuto;
-  Mode mode = Mode::kAuto;
-  ParseMode(env, &mode);
-  return mode;
-}
-
 }  // namespace
 
-bool ParseMode(std::string_view text, Mode* mode) {
-  if (text == "auto") {
-    *mode = Mode::kAuto;
-  } else if (text == "off") {
-    *mode = Mode::kOff;
-  } else if (text == "scalar") {
-    *mode = Mode::kScalar;
-  } else if (text == "sse2") {
-    *mode = Mode::kSse2;
-  } else if (text == "avx2" || text == "simd") {
-    // "simd" asks for the best vector kernel; requesting kAvx2 degrades
-    // through Resolve() to SSE2 (then scalar) when unavailable.
-    *mode = Mode::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ModeName(Mode mode) {
-  switch (mode) {
-    case Mode::kAuto:
-      return "auto";
-    case Mode::kOff:
-      return "off";
-    case Mode::kScalar:
-      return "scalar";
-    case Mode::kSse2:
-      return "sse2";
-    case Mode::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-bool Avx2Available() {
-  return internal::HaveAvx2Kernel() && CpuHasAvx2();
-}
-
-bool Sse2Available() { return internal::HaveSse2Kernel(); }
-
 Mode Resolve(Mode requested) {
-  if (requested == Mode::kAuto) {
-    Mode env = EnvMode();
-    requested = env == Mode::kAuto ? BestAvailable() : env;
-  }
-  if (requested == Mode::kAvx2 && !Avx2Available()) requested = Mode::kSse2;
-  if (requested == Mode::kSse2 && !Sse2Available()) requested = Mode::kScalar;
-  return requested;
+  return requested == Mode::kAuto ? Mode::kScalar : requested;
 }
 
 Prefilter Prefilter::Build(
@@ -97,7 +24,6 @@ Prefilter Prefilter::Build(
     const PrefilterOptions& options) {
   Prefilter pf;
   pf.num_signatures_ = sig_tokens.size();
-  pf.default_mode_ = Resolve(Mode::kAuto);
   pf.selected_.assign(sig_tokens.size(), std::string());
   pf.always_mask_.assign((sig_tokens.size() + 63) / 64, 0);
 
@@ -206,7 +132,7 @@ size_t Prefilter::table_bytes() const {
 }
 
 bool Prefilter::Scan(std::string_view payload, ScanScratch* scratch,
-                     Mode mode) const {
+                     Mode /*mode*/) const {
   const size_t words = (num_signatures_ + 63) / 64;
   scratch->bits.assign(words, 0);
   if (num_signatures_ == 0) return false;
@@ -223,20 +149,8 @@ bool Prefilter::Scan(std::string_view payload, ScanScratch* scratch,
     t.range_hi = range_hi_.data();
     t.sig_ids = sig_ids_.data();
     t.bucket_mask = bucket_mask_;
-    const uint8_t* data = reinterpret_cast<const uint8_t*>(payload.data());
-
-    Mode run = mode == Mode::kAuto || mode == Mode::kOff ? default_mode_ : mode;
-    bool done = false;
-    if (run == Mode::kAvx2) {
-      done = internal::ScanAvx2(t, data, payload.size(), scratch->bits.data());
-      if (!done) run = Mode::kSse2;
-    }
-    if (!done && run == Mode::kSse2) {
-      done = internal::ScanSse2(t, data, payload.size(), scratch->bits.data());
-    }
-    if (!done) {
-      internal::ScanScalar(t, data, payload.size(), scratch->bits.data());
-    }
+    internal::ScanScalar(t, reinterpret_cast<const uint8_t*>(payload.data()),
+                         payload.size(), scratch->bits.data());
   }
 
   uint64_t any = 0;

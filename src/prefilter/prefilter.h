@@ -9,35 +9,17 @@
 
 namespace leakdet::prefilter {
 
-/// Which scan kernel to run. kAuto resolves through Resolve(): the
-/// LEAKDET_PREFILTER environment variable first, then the best kernel the
-/// CPU (and build) supports. The request is a ceiling, not a promise — a
-/// kAvx2 request on a machine without AVX2 degrades to SSE2, then scalar.
+/// How match::CompiledSignatureSet::MatchIntoPrefiltered uses the
+/// prefilter. Scan itself has one portable kernel and runs it for every
+/// mode.
 enum class Mode : uint8_t {
-  kAuto = 0,  ///< env var, else best available
+  kAuto = 0,  ///< resolves to kScalar
   kOff,       ///< bypass the prefilter entirely (every packet hits the DFA)
-  kScalar,    ///< portable byte-at-a-time kernel
-  kSse2,      ///< 16-wide group probe + 4-lane window hashing
-  kAvx2,      ///< 32-wide window hashing (needs the -mavx2 TU, see CMake)
+  kScalar,    ///< scan with the portable kernel
 };
 
-/// Parses "auto" | "off" | "scalar" | "sse2" | "avx2" | "simd" ("simd" =
-/// best vector kernel available, never scalar-by-choice). Returns false on
-/// unknown text and leaves *mode untouched.
-bool ParseMode(std::string_view text, Mode* mode);
-
-/// Human-readable kernel name ("avx2", "scalar", ...).
-const char* ModeName(Mode mode);
-
-/// True iff the AVX2 kernel was compiled in (LEAKDET_NATIVE) *and* the CPU
-/// reports AVX2. Sse2Available() is true on any x86-64 build.
-bool Avx2Available();
-bool Sse2Available();
-
-/// Collapses a requested mode to the concrete kernel Scan will run:
-/// kAuto consults $LEAKDET_PREFILTER (unset/empty/"auto" = best available),
-/// then kAvx2/kSse2 degrade to the next supported tier. The result is one
-/// of kOff, kScalar, kSse2, kAvx2.
+/// Collapses a requested mode to a concrete one: kAuto becomes kScalar,
+/// every other mode is returned as is.
 Mode Resolve(Mode requested);
 
 struct PrefilterOptions {
@@ -60,23 +42,22 @@ struct ScanScratch {
   std::vector<uint64_t> bits;
 };
 
-/// SIMD multi-pattern prefilter over one rare token per conjunction
-/// signature (Kuzuno & Tonami's signatures are conjunctions of rare literal
-/// tokens, so one missing token disproves the whole signature).
+/// Multi-pattern prefilter over one rare token per conjunction signature
+/// (Kuzuno & Tonami's signatures are conjunctions of rare literal tokens, so
+/// one missing token disproves the whole signature).
 ///
 /// Build time: per signature, pick the rarest token of length >= 4 and
 /// insert the hash of its first 4 bytes into (a) a 64 Kbit bloom screen and
 /// (b) a bucketed hash table of 16-slot groups (byte tags + exact 4-byte
-/// windows + CSR signature lists) probed with one SIMD compare per group —
-/// the SimdHash group-probe idiom. Signatures with no usable token are
+/// windows + CSR signature lists). Signatures with no usable token are
 /// "always candidates": their bit is pre-set on every scan, so the filter
 /// admits false positives but never false negatives.
 ///
-/// Scan time: slide a 4-byte window over the payload; windows are hashed in
-/// SIMD batches (32/AVX2, 16/SSE2), screened against the bloom, and only
-/// bloom survivors probe the table. A payload containing a signature's
-/// selected token always sets that signature's bit, because every
-/// occurrence of the token starts with its first 4 bytes.
+/// Scan time: slide a 4-byte window over the payload; each window's hash is
+/// screened against the bloom, and only bloom survivors probe the table. A
+/// payload containing a signature's selected token always sets that
+/// signature's bit, because every occurrence of the token starts with its
+/// first 4 bytes.
 ///
 /// Thread safety: immutable after Build; share one instance across any
 /// number of threads, each with its own ScanScratch.
@@ -89,11 +70,10 @@ class Prefilter {
   static Prefilter Build(const std::vector<std::vector<std::string>>& sig_tokens,
                          const PrefilterOptions& options = {});
 
-  /// Fills `scratch->bits` with the candidate bitmap for `payload` using
-  /// kernel `mode` (pass the value Resolve() gave you; kOff and kAuto scan
-  /// with the build-time resolved default). Returns true iff any candidate
-  /// bit is set — false means no signature can match `payload` and the DFA
-  /// can be skipped entirely.
+  /// Fills `scratch->bits` with the candidate bitmap for `payload`; every
+  /// `mode` runs the same kernel. Returns true iff any candidate bit is
+  /// set — false means no signature can match `payload` and the DFA can be
+  /// skipped entirely.
   bool Scan(std::string_view payload, ScanScratch* scratch,
             Mode mode = Mode::kAuto) const;
 
@@ -113,20 +93,15 @@ class Prefilter {
   const std::string& selected_token(size_t sig) const {
     return selected_[sig];
   }
-  /// The kernel kAuto resolves to for this process (diagnostics).
-  Mode default_mode() const { return default_mode_; }
   /// Table footprint in bytes (capacity planning / statusz).
   size_t table_bytes() const;
   size_t num_buckets() const { return bucket_mask_ == 0 ? 0 : bucket_mask_ + 1; }
 
  private:
-  friend struct PrefilterTables;
-
   size_t num_signatures_ = 0;
   size_t num_windows_ = 0;
   size_t num_always_ = 0;
   uint32_t bucket_mask_ = 0;  ///< buckets - 1; 0 = empty table
-  Mode default_mode_ = Mode::kScalar;
   std::vector<std::string> selected_;   ///< per-sig rare token ("" = none)
   std::vector<uint64_t> always_mask_;   ///< pre-set candidate words
   std::vector<uint8_t> bloom_;          ///< 8 KiB bit screen over window hashes

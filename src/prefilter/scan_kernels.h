@@ -1,20 +1,17 @@
 #ifndef LEAKDET_PREFILTER_SCAN_KERNELS_H_
 #define LEAKDET_PREFILTER_SCAN_KERNELS_H_
 
-// Internal contract between Prefilter::Scan and its per-ISA kernels. Each
-// kernel walks every 4-byte window of the payload, screens its hash against
-// the bloom bit array, and marks the signatures of table-confirmed windows
-// in the candidate bitmap. Kernels differ only in how many window hashes
-// they compute per step; the bloom test and group probe are shared, so all
-// three produce bit-identical bitmaps (asserted by tests/prefilter_test.cc
-// and the differential fuzz target).
+// Internals of Prefilter::Build and Prefilter::Scan: the window hash, the
+// table layout, and the portable scan kernel. The kernel walks every 4-byte
+// window of the payload, screens its hash against the bloom bit array, and
+// marks the signatures of table-confirmed windows in the candidate bitmap.
 
 #include <cstdint>
 #include <cstring>
 
 namespace leakdet::prefilter::internal {
 
-/// Slots per bucket: one 16-byte tag row = one SSE2 compare per probe.
+/// Slots per bucket (one 16-bit occupancy mask each).
 inline constexpr size_t kGroupSize = 16;
 /// Bloom screen size: 64 Kbit = 8 KiB, L1-resident, indexed by the low 16
 /// hash bits. With W distinct windows the screen passes ~W/65536 of random
@@ -42,9 +39,7 @@ inline uint32_t LoadWindow(const uint8_t* p) {
   return w;
 }
 
-/// Multiply-xorshift mix of a window. Every operation has a 128/256-bit
-/// integer equivalent (mullo/srli/xor), so the SIMD kernels compute the
-/// exact same function lane-wise. Bit usage: [0,16) bloom index and bucket,
+/// Multiply-xorshift mix of a window. Bit usage: [0,16) bloom index and bucket,
 /// [16,24) tag. Bucket and bloom bits may overlap — correctness comes from
 /// the exact window compare, the shared low bits just correlate which
 /// bucket a bloom survivor probes.
@@ -72,9 +67,8 @@ inline void MarkSignatures(const Tables& t, size_t slot, uint64_t* bits) {
   }
 }
 
-/// Scalar bucket probe: walk the occupancy mask, compare tags then exact
-/// windows, follow the overflow chain. The SIMD kernels use the group-probe
-/// version in scan_sse2.cc instead (one cmpeq over the 16-byte tag row).
+/// Bucket probe: walk the occupancy mask, compare tags then exact windows,
+/// follow the overflow chain.
 inline void ProbeScalar(const Tables& t, uint32_t hash, uint32_t window,
                         uint64_t* bits) {
   uint8_t tag = TagOf(hash);
@@ -94,56 +88,9 @@ inline void ProbeScalar(const Tables& t, uint32_t hash, uint32_t window,
   }
 }
 
-#if defined(__SSE2__)
-}  // namespace leakdet::prefilter::internal
-#include <emmintrin.h>
-namespace leakdet::prefilter::internal {
-
-/// The SimdHash group-probe idiom: one 16-byte load + one cmpeq compares a
-/// probe tag against every slot of the bucket at once; the movemask (ANDed
-/// with the occupancy bits) enumerates tag hits, each confirmed by the
-/// exact 4-byte window before its signatures are marked. Shared by the SSE2
-/// and AVX2 kernels (an -mavx2 TU implies __SSE2__).
-inline void ProbeGroupSse2(const Tables& t, uint32_t hash, uint32_t window,
-                           uint64_t* bits) {
-  const __m128i tag =
-      _mm_set1_epi8(static_cast<char>(static_cast<signed char>(TagOf(hash))));
-  uint32_t bucket = hash & t.bucket_mask;
-  while (true) {
-    __m128i tags = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(t.tags + bucket * kGroupSize));
-    uint32_t m =
-        static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(tags, tag))) &
-        t.used[bucket];
-    while (m != 0) {
-      unsigned s = static_cast<unsigned>(__builtin_ctz(m));
-      m &= m - 1;
-      size_t slot = bucket * kGroupSize + s;
-      if (t.windows[slot] == window) MarkSignatures(t, slot, bits);
-    }
-    if (!t.overflow[bucket]) return;
-    bucket = (bucket + 1) & t.bucket_mask;
-  }
-}
-#endif  // __SSE2__
-
-/// Portable kernel (always available).
+/// The scan kernel: every window of `data`, bloom-screened, then probed.
 void ScanScalar(const Tables& t, const uint8_t* data, size_t len,
                 uint64_t* bits);
-
-/// SSE2 kernel (x86-64 baseline). Returns false if this build has no SSE2,
-/// in which case the caller falls back to ScanScalar.
-bool ScanSse2(const Tables& t, const uint8_t* data, size_t len,
-              uint64_t* bits);
-bool HaveSse2Kernel();
-
-/// AVX2 kernel. Compiled for real only when the build enabled the -mavx2
-/// translation unit (LEAKDET_NATIVE); otherwise a stub that returns false.
-/// Callers must also check CPU support (prefilter::Avx2Available) — the TU
-/// being present does not mean the host can run it.
-bool ScanAvx2(const Tables& t, const uint8_t* data, size_t len,
-              uint64_t* bits);
-bool HaveAvx2Kernel();
 
 }  // namespace leakdet::prefilter::internal
 

@@ -131,17 +131,6 @@ TEST_F(DistanceTest, AblationFlagsDropComponents) {
   EXPECT_DOUBLE_EQ(d_full.MaxDistance(), 6.0);
 }
 
-TEST_F(DistanceTest, WeightsScaleComponents) {
-  DistanceOptions weighted;
-  weighted.host_weight = 2.0;
-  weighted.use_content = false;
-  PacketDistance metric(&ncd_, weighted);
-  HttpPacket a = MakeTestPacket("aaaa", "1.2.3.4", 80, "GET / HTTP/1.1");
-  HttpPacket b = MakeTestPacket("zzzz", "1.2.3.4", 80, "GET / HTTP/1.1");
-  // d_host = 1 doubled; ip/port identical.
-  EXPECT_DOUBLE_EQ(metric.Distance(a, b), 2.0);
-}
-
 TEST_F(DistanceTest, SymmetryOnRandomPackets) {
   PacketDistance metric(&ncd_);
   Rng rng(3);

@@ -2,8 +2,7 @@
 // prefilter against the exact DFA matcher. Contract under fuzz: for ANY
 // payload and ANY signature set, Prefilter::Scan may admit false candidates
 // but must never drop a payload the DFA would match — i.e.
-// MatchIntoPrefiltered returns bit-identical hits to MatchInto in every
-// kernel mode. Replays the checked-in corpus under tests/fuzz/ first, then
+// MatchIntoPrefiltered returns bit-identical hits to MatchInto. Replays the checked-in corpus under tests/fuzz/ first, then
 // seeded random payloads, mutation sweeps of leaking payloads, and randomly
 // generated signature sets (LEAKDET_TEST_SEED overrides the seeds).
 
@@ -42,15 +41,6 @@ std::string ReadCorpus(const std::string& name) {
   return buf.str();
 }
 
-// Every kernel the running CPU can execute; explicit modes, so the test is
-// independent of LEAKDET_PREFILTER in the environment.
-std::vector<prefilter::Mode> AvailableModes() {
-  std::vector<prefilter::Mode> modes = {prefilter::Mode::kScalar};
-  if (prefilter::Sse2Available()) modes.push_back(prefilter::Mode::kSse2);
-  if (prefilter::Avx2Available()) modes.push_back(prefilter::Mode::kAvx2);
-  return modes;
-}
-
 // A deliberately adversarial mix: multi-token conjunction, host-scoped
 // signature, short-token signature (below the window width, so it is an
 // always-candidate), a binary token, and two signatures sharing a 4-byte
@@ -74,28 +64,22 @@ SignatureSet FuzzSignatures() {
 }
 
 // The differential oracle: prefiltered matching must equal plain matching —
-// same hits, same order, same count — for every available kernel.
+// same hits, same order, same count.
 void ExpectDifferentialEquality(const CompiledSignatureSet& compiled,
                                 const std::string& payload,
                                 const std::string& host) {
   MatchScratch oracle;
   size_t want = compiled.MatchInto(payload, host, &oracle);
-  std::vector<size_t> want_hits = oracle.hits;
-  for (prefilter::Mode mode : AvailableModes()) {
-    MatchScratch scratch;
-    match::PrefilterOutcome outcome;
-    size_t got =
-        compiled.MatchIntoPrefiltered(payload, host, &scratch, mode, &outcome);
-    ASSERT_EQ(got, want) << "mode=" << prefilter::ModeName(mode)
-                         << " payload.size=" << payload.size();
-    ASSERT_EQ(scratch.hits, want_hits)
-        << "mode=" << prefilter::ModeName(mode);
-    if (want > 0) {
-      // A payload the DFA matches must never have been screened out.
-      ASSERT_NE(outcome, match::PrefilterOutcome::kSkipped)
-          << "prefilter dropped a matching payload, mode="
-          << prefilter::ModeName(mode);
-    }
+  MatchScratch scratch;
+  match::PrefilterOutcome outcome;
+  size_t got = compiled.MatchIntoPrefiltered(
+      payload, host, &scratch, prefilter::Mode::kScalar, &outcome);
+  ASSERT_EQ(got, want) << "payload.size=" << payload.size();
+  ASSERT_EQ(scratch.hits, oracle.hits);
+  if (want > 0) {
+    // A payload the DFA matches must never have been screened out.
+    ASSERT_NE(outcome, match::PrefilterOutcome::kSkipped)
+        << "prefilter dropped a matching payload";
   }
 }
 

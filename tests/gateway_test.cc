@@ -198,84 +198,59 @@ TEST(DetectionGatewayTest, PerDeviceOrderIsPreserved) {
   EXPECT_EQ(order_device3, expected);
 }
 
-// The prefilter is a pure accelerator: forcing it off must not change a
-// single verdict. Same stream, same single-shard gateway, prefilter off vs
-// auto — the per-device FIFO guarantee makes the two runs comparable 1:1.
-TEST(DetectionGatewayTest, PrefilterOffAndOnProduceIdenticalVerdicts) {
-  auto run = [](prefilter::Mode mode) {
-    GatewayOptions options;
-    options.num_shards = 1;
-    options.prefilter = mode;
-    DetectionGateway gateway(options);
-    gateway.Publish(
-        std::make_shared<const CompiledSignatureSet>(LeakSignatures(), 1));
-    std::vector<std::pair<std::string, uint32_t>> verdicts;
-    gateway.set_sink([&](const HttpPacket& packet, const Verdict& verdict) {
-      verdicts.emplace_back(packet.request_line, verdict.num_matches);
-    });
-    EXPECT_TRUE(gateway.Start().ok());
-    Rng rng(17);
-    for (uint32_t i = 0; i < 300; ++i) {
-      EXPECT_TRUE(
-          gateway.Submit(5, AdPacket(5, rng.RandomHex(6), i % 4 == 0)));
-    }
-    gateway.Stop();
-    return verdicts;
-  };
-  // kScalar rather than kAuto: explicit modes ignore LEAKDET_PREFILTER, so
-  // this parity check holds even in the forced-off ctest rerun
-  // (gateway_prefilter_off).
-  auto off = run(prefilter::Mode::kOff);
-  auto on = run(prefilter::Mode::kScalar);
-  ASSERT_EQ(off.size(), 300u);
-  EXPECT_EQ(off, on);
-}
+// The traffic the gateway serves in production: a feed core::RunPipeline
+// trained on a sim trace, matched against that trace. Every verdict's match
+// count must equal the single-threaded Detector's on the same packet.
+TEST(DetectionGatewayTest, TrainedFeedVerdictsMatchDetector) {
+  sim::TrafficConfig config;
+  config.seed = 36;
+  config.scale = 0.03;
+  sim::Trace trace = sim::GenerateTrace(config);
+  std::vector<HttpPacket> packets;
+  for (const sim::LabeledPacket& lp : trace.packets) {
+    packets.push_back(lp.packet);
+  }
+  core::PayloadCheck oracle({trace.device.ToTokens()});
+  std::vector<HttpPacket> suspicious;
+  std::vector<HttpPacket> normal;
+  oracle.Split(packets, &suspicious, &normal);
+  core::PipelineOptions pipeline;
+  pipeline.sample_size = 40;
+  pipeline.normal_corpus_size = 100;
+  pipeline.num_threads = 1;
+  auto trained = core::RunPipeline(suspicious, normal, pipeline);
+  ASSERT_TRUE(trained.ok()) << trained.status().message();
+  ASSERT_GT(trained->signatures.size(), 0u);
 
-TEST(DetectionGatewayTest, PrefilterCountersAccountForEveryPacket) {
   GatewayOptions options;
   options.num_shards = 2;
-  options.prefilter = prefilter::Mode::kScalar;  // env-insensitive (see above)
   DetectionGateway gateway(options);
   gateway.Publish(
-      std::make_shared<const CompiledSignatureSet>(LeakSignatures(), 1));
+      std::make_shared<const CompiledSignatureSet>(trained->signatures, 1));
+  std::mutex mu;
+  std::vector<std::pair<HttpPacket, Verdict>> seen;
+  gateway.set_sink([&](const HttpPacket& packet, const Verdict& verdict) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.emplace_back(packet, verdict);
+  });
   ASSERT_TRUE(gateway.Start().ok());
-  constexpr uint32_t kPackets = 400;
-  for (uint32_t i = 0; i < kPackets; ++i) {
-    // Every 5th packet leaks; the rest carry only random hex, which the
-    // rare-token screen should reject without ever running the DFA.
-    ASSERT_TRUE(gateway.Submit(i, AdPacket(i, "noise", i % 5 == 0)));
+  for (size_t i = 0; i < packets.size(); ++i) {
+    ASSERT_TRUE(gateway.Submit(packets[i].app_id, packets[i]));
   }
   gateway.Stop();
-  EXPECT_EQ(gateway.processed(), kPackets);
-  // With a non-empty set and the prefilter enabled, every packet is either
-  // skipped by the screen or falls through as a candidate — no third bucket.
-  EXPECT_EQ(gateway.prefilter_skipped() + gateway.prefilter_candidates(),
-            kPackets);
-  // All 80 leaking packets must fall through (no false negatives) ...
-  EXPECT_GE(gateway.prefilter_candidates(), kPackets / 5);
-  // ... and the fixed "noise" payload contains no signature window, so the
-  // clean packets are all skipped and no candidate was false.
-  EXPECT_EQ(gateway.prefilter_skipped(), kPackets - kPackets / 5);
-  EXPECT_EQ(gateway.prefilter_false_candidates(), 0u);
-  EXPECT_EQ(gateway.matched(), kPackets / 5);
-}
 
-TEST(DetectionGatewayTest, PrefilterOffDisablesCounters) {
-  GatewayOptions options;
-  options.prefilter = prefilter::Mode::kOff;
-  DetectionGateway gateway(options);
-  gateway.Publish(
-      std::make_shared<const CompiledSignatureSet>(LeakSignatures(), 1));
-  ASSERT_TRUE(gateway.Start().ok());
-  for (uint32_t i = 0; i < 50; ++i) {
-    ASSERT_TRUE(gateway.Submit(i, AdPacket(i, "zz", true)));
+  core::Detector baseline(trained->signatures);
+  ASSERT_EQ(seen.size(), packets.size());
+  uint64_t sensitive = 0;
+  for (const auto& [packet, verdict] : seen) {
+    EXPECT_EQ(verdict.num_matches,
+              baseline.MatchedSignatureIds(packet).size());
+    EXPECT_EQ(verdict.sensitive, verdict.num_matches > 0);
+    EXPECT_EQ(verdict.feed_version, 1u);
+    if (verdict.sensitive) ++sensitive;
   }
-  gateway.Stop();
-  EXPECT_EQ(gateway.processed(), 50u);
-  EXPECT_EQ(gateway.matched(), 50u);
-  EXPECT_EQ(gateway.prefilter_skipped(), 0u);
-  EXPECT_EQ(gateway.prefilter_candidates(), 0u);
-  EXPECT_EQ(gateway.prefilter_false_candidates(), 0u);
+  EXPECT_GT(sensitive, 0u);
+  EXPECT_EQ(gateway.matched(), sensitive);
 }
 
 TEST(DetectionGatewayTest, StartTwiceFails) {

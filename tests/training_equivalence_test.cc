@@ -274,11 +274,9 @@ TEST(FastMatrixEquivalenceTest, DestinationOnly) {
   ExpectFastMatrixMatchesReference(options);
 }
 
-TEST(FastMatrixEquivalenceTest, LiteralOrientationAndWeights) {
+TEST(FastMatrixEquivalenceTest, LiteralOrientation) {
   DistanceOptions options;
   options.literal_similarity_orientation = true;
-  options.ip_weight = 0.5;
-  options.cookie_weight = 2.0;
   ExpectFastMatrixMatchesReference(options);
 }
 

@@ -22,7 +22,6 @@
 //   leakdet serve     --trace trace.jsonl --device device.tokens
 //                     [--data-dir store/] [--port P] [--admin-port P]
 //                     [--rate 500] [--loops 0] [--retrain-after 200]
-//                     [--prefilter auto|off|scalar|simd]
 //   leakdet federate  [--devices 24] [--shards 4] [--events 9000]
 //                     [--seed 8086] [--scale 0.05] [--skew 0.3] [--k 2]
 //                     [--tenant fleet] [--out feed.sigs] [--eval]
@@ -84,7 +83,6 @@
 #include "io/pcap.h"
 #include "io/trace_io.h"
 #include "obs/admin_server.h"
-#include "prefilter/prefilter.h"
 #include "sim/fleet.h"
 #include "sim/trafficgen.h"
 #include "store/store_manager.h"
@@ -462,13 +460,6 @@ void AddServeStatusSections(obs::AdminServer* admin,
     return "epoch_version: " + std::to_string(gw->current_version()) +
            "\nepoch_age_ns: " + std::to_string(gw->epoch_age_ns()) + "\n";
   });
-  admin->AddStatusSection("prefilter", [gw] {
-    return std::string("mode: ") + prefilter::ModeName(gw->prefilter_mode()) +
-           "\nskipped: " + std::to_string(gw->prefilter_skipped()) +
-           "\ncandidates: " + std::to_string(gw->prefilter_candidates()) +
-           "\nfalse_candidates: " +
-           std::to_string(gw->prefilter_false_candidates()) + "\n";
-  });
   if (with_store) {
     admin->AddStatusSection("store", [registry] {
       return "wal_last_sequence: " +
@@ -512,13 +503,6 @@ int CmdServeLive(const Args& args) {
   gateway::GatewayOptions gw_options;
   gw_options.registry = registry;
   gw_options.num_shards = static_cast<size_t>(args.GetLong("shards", 2));
-  // Prefilter escape hatch: --prefilter off ships verdicts through the
-  // plain DFA path (the LEAKDET_PREFILTER env var overrides "auto").
-  std::string prefilter_flag = args.Get("prefilter");
-  if (!prefilter_flag.empty() &&
-      !prefilter::ParseMode(prefilter_flag, &gw_options.prefilter)) {
-    return Fail("--prefilter must be auto, off, scalar, or simd");
-  }
   gateway::DetectionGateway gateway(gw_options);
 
   std::unique_ptr<store::StoreManager> store;

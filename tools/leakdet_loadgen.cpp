@@ -30,7 +30,6 @@
 #include "gateway/gateway.h"
 #include "gateway/trainer.h"
 #include "obs/admin_server.h"
-#include "prefilter/prefilter.h"
 #include "sim/trafficgen.h"
 
 namespace {
@@ -62,9 +61,6 @@ struct Flags {
   // excluded from the reported throughput (their verdicts are still
   // verified).
   size_t warmup_repeat = 1;
-  // Prefilter escape hatch: auto (default), off, scalar, or simd; forwarded
-  // to GatewayOptions::prefilter (LEAKDET_PREFILTER overrides auto).
-  std::string prefilter = "auto";
 };
 
 bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
@@ -83,8 +79,7 @@ void Usage() {
       "[--rate=PPS]\n"
       "  [--retrain-after=N] [--sample-size=N] [--normal-corpus=N]\n"
       "  [--forward-normal-every=N] [--trainer-queue=N] [--min-swaps=N]\n"
-      "  [--no-verify] [--admin-port=N] [--warmup-repeat=N]\n"
-      "  [--prefilter=auto|off|scalar|simd]\n");
+      "  [--no-verify] [--admin-port=N] [--warmup-repeat=N]\n");
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -123,8 +118,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->admin_port = std::strtol(v.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "warmup-repeat", &v)) {
       flags->warmup_repeat = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "prefilter", &v)) {
-      flags->prefilter = v;
     } else if (arg == "--no-verify") {
       flags->verify = false;
     } else if (arg == "--help" || arg == "-h") {
@@ -142,11 +135,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   }
   if (flags->shards == 0 || flags->repeat == 0) {
     std::fprintf(stderr, "--shards and --repeat must be positive\n");
-    return false;
-  }
-  leakdet::prefilter::Mode mode;
-  if (!leakdet::prefilter::ParseMode(flags->prefilter, &mode)) {
-    std::fprintf(stderr, "--prefilter must be auto, off, scalar, or simd\n");
     return false;
   }
   return true;
@@ -194,7 +182,6 @@ int main(int argc, char** argv) {
   gw_options.overload = flags.policy == "block"
                             ? leakdet::gateway::OverloadPolicy::kBlock
                             : leakdet::gateway::OverloadPolicy::kDropNewest;
-  (void)leakdet::prefilter::ParseMode(flags.prefilter, &gw_options.prefilter);
   leakdet::gateway::DetectionGateway gateway(gw_options);
 
   leakdet::gateway::TrainerOptions trainer_options;
@@ -250,12 +237,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("replaying %zu x %zu = %zu packets through %zu shards "
-              "(policy=%s, rate=%s, prefilter=%s, warmup=%zu rounds)...\n",
+              "(policy=%s, rate=%s, warmup=%zu rounds)...\n",
               trace.packets.size(), flags.repeat, instances, flags.shards,
               flags.policy.c_str(),
               flags.rate > 0 ? (std::to_string(flags.rate) + " pkt/s").c_str()
                              : "unlimited",
-              leakdet::prefilter::ModeName(gateway.prefilter_mode()),
               flags.warmup_repeat);
 
   size_t submitted_count = 0;
@@ -325,12 +311,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(measured), wall, throughput,
               static_cast<unsigned long long>(trainer.feeds_published()),
               static_cast<unsigned long long>(trainer.training_drops()));
-  std::printf("run: prefilter skipped=%llu candidates=%llu "
-              "false_candidates=%llu\n",
-              static_cast<unsigned long long>(gateway.prefilter_skipped()),
-              static_cast<unsigned long long>(gateway.prefilter_candidates()),
-              static_cast<unsigned long long>(
-                  gateway.prefilter_false_candidates()));
 
   std::printf("\n-- metrics --\n%s\n", gateway.metrics()->TextDump().c_str());
 

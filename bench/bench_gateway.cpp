@@ -113,12 +113,12 @@ void BM_GatewayThroughput(benchmark::State& state) {
   }
   uint64_t device = 0;
   size_t i = 0;
+  HttpPacket packet;  // refilled per Submit, which copies it into a slot
+  packet.destination.host = "ads.bench.example";
   for (auto _ : state) {
-    HttpPacket packet;
     packet.app_id = static_cast<uint32_t>(device);
-    packet.destination.host = "ads.bench.example";
     packet.request_line = contents[i++ % contents.size()];
-    gateway.Submit(device++, std::move(packet));
+    gateway.Submit(device++, packet);
   }
   gateway.Stop();
   state.SetItemsProcessed(static_cast<int64_t>(verdicts.load()));

@@ -67,7 +67,7 @@ void Cluster::Shutdown() {
   }
 }
 
-bool Cluster::Submit(uint64_t device_id, core::HttpPacket packet) {
+bool Cluster::Submit(uint64_t device_id, const core::HttpPacket& packet) {
   // Held across the node's Submit: routing and membership must not change
   // under the call (a concurrent kill would destroy the node). The gateway's
   // enqueue path is lock-free and its workers drain independently, so this
@@ -78,7 +78,7 @@ bool Cluster::Submit(uint64_t device_id, core::HttpPacket packet) {
   for (Slot& slot : slots_) {
     if (slot.id == id) {
       if (!slot.alive || slot.node == nullptr) return false;
-      return slot.node->Submit(device_id, std::move(packet));
+      return slot.node->Submit(device_id, packet);
     }
   }
   return false;

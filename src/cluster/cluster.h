@@ -72,7 +72,7 @@ class Cluster {
 
   /// Routes one packet to the live node owning `device_id`. False when the
   /// ring is empty or the owner shed it.
-  bool Submit(uint64_t device_id, core::HttpPacket packet);
+  bool Submit(uint64_t device_id, const core::HttpPacket& packet);
 
   /// The node id `device_id` routes to ("" when the ring is empty).
   std::string RouteFor(uint64_t device_id);

@@ -126,8 +126,8 @@ class ClusterNode {
   void StopServing();
 
   /// Routes one packet into this node's detection gateway.
-  bool Submit(uint64_t device_id, core::HttpPacket packet) {
-    return gateway_.Submit(device_id, std::move(packet));
+  bool Submit(uint64_t device_id, const core::HttpPacket& packet) {
+    return gateway_.Submit(device_id, packet);
   }
 
   Role role() const { return role_; }

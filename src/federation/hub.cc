@@ -116,12 +116,13 @@ void FederationHub::Stop() {
   }
 }
 
-bool FederationHub::Submit(uint64_t device_key, core::HttpPacket packet) {
+bool FederationHub::Submit(uint64_t device_key,
+                           const core::HttpPacket& packet) {
   std::string tenant = resolver_(packet);
   Tenant* t = Find(tenant);
   if (t == nullptr) {
     unknown_tenant_->Inc();
-    return gateway_->Submit(device_key, std::move(packet));
+    return gateway_->Submit(device_key, packet);
   }
   t->submitted->Inc();
   uint64_t hash = DeviceWitnessHash(device_key);
@@ -141,13 +142,15 @@ bool FederationHub::Submit(uint64_t device_key, core::HttpPacket packet) {
     record->device_hash = hash;
     core::AppendPacketContent(packet, &record->content);
   }
-  return t->gateway->Submit(device_key, std::move(packet));
+  return t->gateway->Submit(device_key, packet);
 }
 
 match::SignatureSet FederationHub::GateFeed(Tenant* t, uint64_t version,
                                             match::SignatureSet trained) {
   // Snapshot the witness window (submit threads keep writing meanwhile).
-  std::vector<WitnessRecord> corpus;
+  // Copy-assigned into the tenant's reused snapshot, whose records keep
+  // their content buffers, so submit threads wait on a memcpy, not malloc.
+  std::vector<WitnessRecord>& corpus = t->witness_snapshot;
   {
     std::lock_guard<std::mutex> lock(t->witness_mu);
     corpus = t->ring;

@@ -111,7 +111,7 @@ class FederationHub {
   /// submits to the packet's tenant gateway. Packets resolving to an
   /// unconfigured tenant go to the caller's gateway (and are counted).
   /// Thread-safe.
-  bool Submit(uint64_t device_key, core::HttpPacket packet);
+  bool Submit(uint64_t device_key, const core::HttpPacket& packet);
 
   /// The (version, serialized feed) for `tenant`, nullopt if unknown —
   /// exactly the shape io::FeedServer::TenantFeedProvider wants. The feed
@@ -153,6 +153,11 @@ class FederationHub {
     size_t ring_next = 0;
     std::vector<uint64_t> devices;  ///< min-cap distinct device hashes
     uint64_t observed = 0;
+    /// GateFeed's copy of `ring`, reused across retrains. Only the feed
+    /// transform touches it, and one tenant's transform never runs twice at
+    /// once: it runs on the tenant's trainer thread, or during AddTenant's
+    /// recovery before that thread starts.
+    std::vector<WitnessRecord> witness_snapshot;
 
     /// Published-feed cache for TenantFeed (feed-server threads).
     mutable std::mutex feed_mu;

@@ -20,10 +20,14 @@ namespace leakdet::gateway {
 /// is ever lost on shutdown.
 ///
 /// Storage is a ring of slots: a vector that grows geometrically on demand
-/// up to `capacity` and never shrinks. Items are moved into a slot on push
-/// and move-constructed out of it on pop, so a vacated slot owns no heap
-/// and, once the ring has grown to the backlog's high-water mark, pushing
-/// and popping allocate nothing. T must be default-constructible.
+/// up to `capacity` and never shrinks. Items never move in or out by value.
+/// A producer fills the slot it takes in place (PushWith), and a consumer
+/// swaps slots with items it owns (PopBatch), so each slot gets back the
+/// buffers of an item the consumer has finished with. Once the ring has
+/// grown to the backlog's high-water mark and every buffer has held the
+/// largest item seen, pushing and popping allocate nothing: a fill that
+/// copy-assigns reuses the slot's capacity. T must be default-constructible
+/// and swappable.
 template <typename T>
 class BoundedQueue {
  public:
@@ -31,61 +35,58 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while full. Returns false (item not enqueued) once closed.
-  bool Push(T item) {
+  /// Takes the tail slot and calls `fill(T& slot)` on it under the queue
+  /// lock; the slot still holds whatever item last left it, so `fill` must
+  /// overwrite every field. When full, waits for room if `wait_for_room`,
+  /// else returns false at once (the caller accounts the drop). Returns
+  /// false, without calling `fill`, once closed.
+  template <typename Fill>
+  bool PushWith(bool wait_for_room, Fill&& fill) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
-    if (closed_) return false;
-    PushLocked(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push. Returns false when full or closed (the caller
-  /// accounts the drop).
-  bool TryPush(T item) { return TryEmplace(std::move(item)); }
-
-  /// TryPush of `T{args...}`, built only once the queue has room: a push
-  /// that is refused constructs (and so copies) nothing.
-  template <typename... Args>
-  bool TryEmplace(Args&&... args) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || size_ >= capacity_) return false;
-      PushLocked(T{std::forward<Args>(args)...});
+    if (wait_for_room) {
+      not_full_.wait(lock, [this] { return closed_ || size_ < capacity_; });
     }
+    if (closed_ || size_ >= capacity_) return false;
+    if (size_ == slots_.size()) Grow();
+    size_t tail = head_ + size_;
+    if (tail >= slots_.size()) tail -= slots_.size();
+    fill(slots_[tail]);
+    ++size_;
+    lock.unlock();
     not_empty_.notify_one();
     return true;
   }
 
-  /// Blocks while empty. Returns false only when the queue is closed *and*
-  /// fully drained.
-  bool Pop(T* out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
-    if (size_ == 0) return false;
-    // Move-construct, not move-assign: assignment may hand *out's old
-    // buffers back to the slot.
-    T item(TakeLocked());
-    lock.unlock();
-    not_full_.notify_one();
-    *out = std::move(item);
-    return true;
+  /// PushWith copy-assigning `item`, waiting while full.
+  bool Push(const T& item) {
+    return PushWith(true, [&item](T& slot) { slot = item; });
+  }
+  /// PushWith copy-assigning `item`, failing fast while full.
+  bool TryPush(const T& item) {
+    return PushWith(false, [&item](T& slot) { slot = item; });
   }
 
-  /// Pops up to `max_items` at once into `out` (appended), blocking for the
-  /// first one. Returns the number popped; 0 means closed-and-drained.
-  /// Batching amortizes lock traffic for high-throughput consumers.
-  size_t PopBatch(std::vector<T>* out, size_t max_items) {
+  /// Swaps up to `max_items` queued items, oldest first, into out[0..n),
+  /// blocking for the first one; the ring slots take out's old contents.
+  /// Returns n; 0 means closed-and-drained. Batching amortizes lock traffic
+  /// for high-throughput consumers.
+  size_t PopBatch(T* out, size_t max_items) {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || size_ > 0; });
     const size_t n = std::min(max_items, size_);
-    for (size_t i = 0; i < n; ++i) out->push_back(TakeLocked());
+    for (size_t i = 0; i < n; ++i) {
+      using std::swap;
+      swap(out[i], slots_[head_]);
+      if (++head_ == slots_.size()) head_ = 0;
+    }
+    size_ -= n;
     lock.unlock();
     if (n > 0) not_full_.notify_all();
     return n;
   }
+
+  /// PopBatch of one item.
+  bool Pop(T* out) { return PopBatch(out, 1) == 1; }
 
   /// Refuses further pushes and wakes every waiter. Idempotent.
   void Close() {
@@ -108,24 +109,6 @@ class BoundedQueue {
   }
 
  private:
-  /// Caller holds mu_ and has checked size_ < capacity_.
-  void PushLocked(T&& item) {
-    if (size_ == slots_.size()) Grow();
-    size_t tail = head_ + size_;
-    if (tail >= slots_.size()) tail -= slots_.size();
-    slots_[tail] = std::move(item);
-    ++size_;
-  }
-
-  /// Caller holds mu_, has checked size_ > 0, and move-constructs from the
-  /// result before releasing mu_ (which empties the slot).
-  T&& TakeLocked() {
-    T& front = slots_[head_];
-    if (++head_ == slots_.size()) head_ = 0;
-    --size_;
-    return std::move(front);
-  }
-
   /// Doubles the ring (capped at capacity_), unrolling the backlog so it
   /// starts at slot 0 of the new vector.
   void Grow() {

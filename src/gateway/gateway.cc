@@ -96,21 +96,26 @@ uint64_t DetectionGateway::epoch_age_ns() const {
   return now > published ? static_cast<uint64_t>(now - published) : 0;
 }
 
-bool DetectionGateway::Submit(uint64_t device_id, core::HttpPacket packet) {
+bool DetectionGateway::Submit(uint64_t device_id,
+                              const core::HttpPacket& packet) {
   Shard& shard = *shards_[shard_of(device_id)];
-  Item item{std::move(packet), clock_->Now()};
   // Ingest wall time includes backpressure: under kBlock a full shard makes
   // this timer the queue-wait signal callers actually feel. Sampled, and the
-  // start timestamp is the one the Item carries anyway, so the common case
-  // adds no clock read.
-  const Clock::TimePoint ingest_start = item.enqueued;
+  // start timestamp is the enqueue time the slot carries anyway, so the
+  // common case adds no clock read.
+  const Clock::TimePoint ingest_start = clock_->Now();
   const bool sample_ingest =
       ingest_sample_.fetch_add(1, std::memory_order_relaxed) %
           kLatencySampleEvery ==
       0;
-  bool accepted = options_.overload == OverloadPolicy::kBlock
-                      ? shard.queue.Push(std::move(item))
-                      : shard.queue.TryPush(std::move(item));
+  // Copy-assigned into the slot: its strings keep the capacity of the
+  // packets that held it before, so past warm-up the copy allocates nothing.
+  auto fill = [&packet, ingest_start](Item& slot) {
+    slot.packet = packet;
+    slot.enqueued = ingest_start;
+  };
+  const bool accepted = shard.queue.PushWith(
+      options_.overload == OverloadPolicy::kBlock, fill);
   if (accepted) {
     submitted_->Inc();
     shard.enqueued->Inc();
@@ -160,16 +165,17 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
   std::shared_ptr<const match::CompiledSignatureSet> set;
   uint64_t set_version = 0;
   uint64_t verdict_sample = 0;  // per-worker 1-in-N latency sampling cursor
-  std::vector<Item> batch;
-  batch.reserve(options_.pop_batch);
-  // Per-batch scratch, reused so the steady state allocates nothing.
-  std::vector<std::string> contents;
-  std::vector<std::string> domains;
-  std::vector<Verdict> verdicts;
+  // The worker's half of the swap pop: PopBatch trades these slots for the
+  // queued ones, handing the finished packets' buffers back to the ring.
+  std::vector<Item> batch(options_.pop_batch);
+  // Per-batch scratch, sized once and reused so the steady state allocates
+  // nothing (shrinking a vector of strings would free their buffers).
+  std::vector<std::string> contents(batch.size());
+  std::vector<std::string> domains(batch.size());
+  std::vector<Verdict> verdicts(batch.size());
   while (true) {
-    batch.clear();
-    if (shard.queue.PopBatch(&batch, options_.pop_batch) == 0) return;
-    const size_t n = batch.size();
+    const size_t n = shard.queue.PopBatch(batch.data(), batch.size());
+    if (n == 0) return;
     auto dequeued = clock_->Now();
 
     // One relaxed load of the version gate per *batch* (amortized epoch
@@ -184,8 +190,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
     // packet's payload while the current one is being assembled, and record
     // queue wait (reuses the batch's dequeue timestamp — no extra clock
     // reads).
-    contents.resize(n);
-    domains.resize(n);
     for (size_t j = 0; j < n; ++j) {
       if (j + 1 < n) {
         const core::HttpPacket& next = batch[j + 1].packet;
@@ -208,7 +212,6 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
     // Pass 2: match the batch. Counter deltas accumulate in locals and land
     // on the shared atomics once per batch (pass 3).
     uint64_t matched_in_batch = 0;
-    verdicts.resize(n);
     auto match_start = clock_->Now();
     for (size_t j = 0; j < n; ++j) {
       Verdict& verdict = verdicts[j];

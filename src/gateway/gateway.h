@@ -111,7 +111,13 @@ class DetectionGateway {
   /// accepted (it *will* be processed), false if it was shed under
   /// kDropNewest overload or after Stop(). With kBlock this waits for queue
   /// room and only returns false once the gateway is stopping.
-  bool Submit(uint64_t device_id, core::HttpPacket packet);
+  ///
+  /// The packet is copy-assigned into the shard ring's slot under the queue
+  /// lock; the caller keeps its own. Slots keep their buffers across packets
+  /// (workers swap finished packets back in), so once every slot has held a
+  /// packet as large as this one the copy is a memcpy and Submit allocates
+  /// nothing. A refused packet is not copied.
+  bool Submit(uint64_t device_id, const core::HttpPacket& packet);
 
   /// Publishes a new compiled matcher epoch. Rejects (returns false) null
   /// sets, version 0 (the "no feed yet" sentinel), and versions not strictly

@@ -124,9 +124,14 @@ bool TrainerLoop::Offer(const core::HttpPacket& packet,
     uint64_t tick = normal_tick_.fetch_add(1, std::memory_order_relaxed);
     if (tick % options_.forward_normal_every != 0) return false;
   }
-  // The copy of the packet is made only once the mailbox has room: most
-  // offers are shed while a retrain runs.
-  if (!mailbox_.TryEmplace(packet, verdict)) {
+  // The packet is copied only once the mailbox has room (most offers are
+  // shed while a retrain runs), and into the slot's reused buffers.
+  const bool accepted =
+      mailbox_.PushWith(false, [&packet, &verdict](TrainingItem& slot) {
+        slot.packet = packet;
+        slot.verdict = verdict;
+      });
+  if (!accepted) {
     drops_->Inc();
     return false;
   }
@@ -134,6 +139,8 @@ bool TrainerLoop::Offer(const core::HttpPacket& packet,
 }
 
 void TrainerLoop::Run() {
+  // Popped by swap: the slot takes back this item's buffers from the last
+  // round, so forwarding a packet allocates and frees nothing.
   TrainingItem item;
   uint64_t appends_unflushed = 0;
   while (mailbox_.Pop(&item)) {

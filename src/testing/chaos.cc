@@ -279,7 +279,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
       expected_epoch.push_back(epoch);
       uint64_t device_id = rng.UniformInt(64);
       ++result.ingested;
-      if (gateway.Submit(device_id, std::move(packet))) {
+      if (gateway.Submit(device_id, packet)) {
         ++result.accepted;
         ++cumulative_accepted;
       }
@@ -372,7 +372,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
       uint64_t probe_accepted = 0;
       for (size_t i = 0; i < burst; ++i) {
         core::HttpPacket packet = GeneratePacket(&rng, tokens, 0.5);
-        if (probe.Submit(/*device_id=*/0, std::move(packet))) {
+        if (probe.Submit(/*device_id=*/0, packet)) {
           ++probe_accepted;
         }
       }

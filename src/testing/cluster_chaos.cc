@@ -381,7 +381,7 @@ ClusterChaosResult RunClusterChaos(const ClusterChaosOptions& options) {
           oracle_for(serving_version)->IsSensitive(packet) ? 1 : 0);
       expected_epoch.push_back(serving_version);
       ++result.ingested;
-      if (cluster.Submit(device_id, std::move(packet))) {
+      if (cluster.Submit(device_id, packet)) {
         ++result.accepted;
         ++cumulative_accepted;
       }

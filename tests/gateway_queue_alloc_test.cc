@@ -1,20 +1,28 @@
-// Steady-state allocation count of gateway::BoundedQueue. A shard queue sees
+// Steady-state allocation count of the serving path: gateway::BoundedQueue
+// alone, and a started DetectionGateway fed by lvalue. A shard queue sees
 // every packet the gateway serves, so once the ring has grown to the
-// backlog's high-water mark, moving an item through it must not touch the
-// heap. This binary replaces the global operator new/delete with counting
-// versions, which is why it is a test binary of its own.
+// backlog's high-water mark and its slots hold buffers as large as the
+// packets, moving a packet through it must not touch the heap, on the
+// producer's thread or the worker's. This binary replaces the global
+// operator new/delete with counting versions, which is why it is a test
+// binary of its own.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/packet.h"
 #include "gateway/bounded_queue.h"
+#include "gateway/gateway.h"
+#include "match/compiled_set.h"
 
 namespace {
 
@@ -61,21 +69,33 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace leakdet::gateway {
 namespace {
 
-/// The gateway's shard-queue item: a packet and its enqueue time. Every
-/// string here fits the small-string buffer, so the item itself owns no heap
-/// and any allocation counted below is the queue's own.
+/// The gateway's shard-queue item: a packet and its enqueue time.
 struct Item {
   core::HttpPacket packet;
   std::chrono::steady_clock::time_point enqueued;
 };
 
-Item MakeItem(uint32_t i) {
-  Item item;
-  item.packet.app_id = i;
-  item.packet.destination.host = "a.b.com";
-  item.packet.request_line = "GET /x";
-  return item;
+/// A packet whose host, request line, cookie and body all exceed the
+/// 15-byte small-string buffer, so each owns heap. Every packet has the
+/// same field lengths: a buffer that held one fits any other, so the
+/// warm-up below reaches the steady state whatever order buffers rotate in.
+/// Every third packet carries the device id LeakSignatures() matches.
+core::HttpPacket MakePacket(uint32_t i) {
+  char noise[9];
+  std::snprintf(noise, sizeof(noise), "%08x", i);
+  core::HttpPacket p;
+  p.app_id = i;
+  p.destination.host = "ads.stream-net.com";
+  p.request_line = std::string("GET /live/get?k=") + noise +
+                   (i % 3 == 0 ? "&udid=9774d56d682e549c"
+                               : "&page=0000000000000000") +
+                   " HTTP/1.1";
+  p.cookie = std::string("session=") + noise + noise;
+  p.body = std::string("{\"event\":\"view\",\"seq\":\"") + noise + "\"}";
+  return p;
 }
+
+Item MakeItem(uint32_t i) { return Item{MakePacket(i), {}}; }
 
 constexpr size_t kCapacity = 64;
 constexpr int kCycles = 100000;
@@ -84,14 +104,31 @@ uint64_t Allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
-// Fills the ring to capacity once and drains it, so the slot vector has
-// reached its high-water mark before counting starts.
-void WarmUp(BoundedQueue<Item>* q) {
+// Fills the ring to capacity once and drains it into `batch`, then fills
+// the slots the drain handed `batch`'s empty items back to, so the ring
+// has grown to capacity and every slot and batch item holds a full-size
+// packet's buffers before counting starts.
+void WarmUp(BoundedQueue<Item>* q, const std::vector<Item>& items,
+            std::vector<Item>* batch) {
   for (size_t i = 0; i < kCapacity; ++i) {
-    ASSERT_TRUE(q->Push(MakeItem(static_cast<uint32_t>(i))));
+    ASSERT_TRUE(q->Push(items[i % items.size()]));
   }
-  Item out;
-  for (size_t i = 0; i < kCapacity; ++i) ASSERT_TRUE(q->Pop(&out));
+  size_t popped = 0;
+  while (popped < kCapacity) {
+    popped += q->PopBatch(batch->data(), batch->size());
+  }
+  for (size_t i = 0; i < batch->size(); ++i) {
+    ASSERT_TRUE(q->Push(items[i % items.size()]));
+  }
+  for (size_t i = 0; i < batch->size(); ++i) {
+    ASSERT_TRUE(q->Pop(&(*batch)[i]));
+  }
+}
+
+std::vector<Item> MakeItems() {
+  std::vector<Item> items;
+  for (uint32_t i = 0; i < 16; ++i) items.push_back(MakeItem(i));
+  return items;
 }
 
 TEST(BoundedQueueAllocTest, CountingAllocatorSeesAllocations) {
@@ -103,10 +140,10 @@ TEST(BoundedQueueAllocTest, CountingAllocatorSeesAllocations) {
 
 TEST(BoundedQueueAllocTest, PushPopBatchAllocatesNothingInSteadyState) {
   ASSERT_EQ(sizeof(Item), 152u) << "update the item to the gateway's shape";
+  const std::vector<Item> items = MakeItems();
   BoundedQueue<Item> q(kCapacity);
-  WarmUp(&q);
-  std::vector<Item> batch;
-  batch.reserve(kCapacity);
+  std::vector<Item> batch(kCapacity);
+  WarmUp(&q, items, &batch);
   // A varying push count per cycle keeps the head moving round the ring,
   // so pushes and pops both cross the wrap point.
   bool ok = true;
@@ -115,10 +152,9 @@ TEST(BoundedQueueAllocTest, PushPopBatchAllocatesNothingInSteadyState) {
   for (int c = 0; c < kCycles; ++c) {
     const int pushes = 1 + c % 7;
     for (int i = 0; i < pushes; ++i) {
-      ok &= q.Push(MakeItem(static_cast<uint32_t>(c)));
+      ok &= q.Push(items[static_cast<size_t>(c + i) % items.size()]);
     }
-    batch.clear();
-    popped += q.PopBatch(&batch, kCapacity);
+    popped += q.PopBatch(batch.data(), batch.size());
   }
   const uint64_t allocations = Allocations() - before;
   EXPECT_TRUE(ok);
@@ -127,20 +163,100 @@ TEST(BoundedQueueAllocTest, PushPopBatchAllocatesNothingInSteadyState) {
 }
 
 TEST(BoundedQueueAllocTest, TryPushPopAllocatesNothingInSteadyState) {
+  const std::vector<Item> items = MakeItems();
   BoundedQueue<Item> q(kCapacity);
-  WarmUp(&q);
-  Item out;
+  std::vector<Item> batch(kCapacity);
+  WarmUp(&q, items, &batch);
+  Item& out = batch[0];
   bool ok = true;
   const uint64_t before = Allocations();
   for (int c = 0; c < kCycles; ++c) {
-    ok &= q.TryPush(MakeItem(static_cast<uint32_t>(c)));
-    ok &= q.TryPush(MakeItem(static_cast<uint32_t>(c)));
+    ok &= q.TryPush(items[static_cast<size_t>(c) % items.size()]);
+    ok &= q.TryPush(items[static_cast<size_t>(c + 1) % items.size()]);
     ok &= q.Pop(&out);
     ok &= q.Pop(&out);
   }
   const uint64_t allocations = Allocations() - before;
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations, 0u);
+}
+
+match::SignatureSet LeakSignatures() {
+  match::ConjunctionSignature sig;
+  sig.id = "sig-0";
+  sig.tokens = {"udid=9774d56d682e549c"};
+  sig.host_scope = "stream-net.com";
+  return match::SignatureSet({sig});
+}
+
+void WaitForProcessed(const DetectionGateway& gateway, uint64_t want) {
+  while (gateway.processed() < want) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+}
+
+// The whole serving path past warm-up: Submit copies a caller's lvalue
+// packet into its shard's ring slot, the worker swaps it out, builds content
+// and domain, matches it on the DFA, and hands the slot its old buffers
+// back. None of that may allocate, on either thread.
+TEST(GatewayAllocTest, SubmitByLvalueAllocatesNothingInSteadyState) {
+  GatewayOptions options;
+  options.num_shards = 2;
+  options.queue_capacity = 128;
+  options.pop_batch = 16;
+  DetectionGateway gateway(options);
+  ASSERT_TRUE(gateway.Publish(
+      std::make_shared<const match::CompiledSignatureSet>(LeakSignatures(),
+                                                          1)));
+  gateway.set_sink([](const core::HttpPacket&, const Verdict&) {});
+
+  // One device per shard, so the warm-up can fill each ring exactly.
+  std::vector<uint64_t> device_of_shard(options.num_shards, 0);
+  for (size_t shard = 0; shard < options.num_shards; ++shard) {
+    uint64_t id = 0;
+    while (gateway.shard_of(id) != shard) ++id;
+    device_of_shard[shard] = id;
+  }
+  std::vector<core::HttpPacket> packets;
+  // A multiple of 3, so packet i % 48 leaks exactly when i does.
+  for (uint32_t i = 0; i < 48; ++i) packets.push_back(MakePacket(i));
+
+  // Warm-up: fill every ring to capacity before the workers start (so no
+  // ring grows later), then pass enough packets to refill the slots the
+  // workers' first swaps emptied.
+  uint64_t submitted = 0;
+  for (uint64_t device : device_of_shard) {
+    for (size_t i = 0; i < options.queue_capacity; ++i) {
+      ASSERT_TRUE(gateway.Submit(device, packets[i % packets.size()]));
+      ++submitted;
+    }
+  }
+  ASSERT_TRUE(gateway.Start().ok());
+  for (size_t i = 0; i < 4 * options.queue_capacity; ++i) {
+    for (uint64_t device : device_of_shard) {
+      ASSERT_TRUE(gateway.Submit(device, packets[i % packets.size()]));
+      ++submitted;
+    }
+  }
+  WaitForProcessed(gateway, submitted);
+  const uint64_t matched_before = gateway.matched();
+
+  constexpr uint64_t kPackets = 100000;
+  bool ok = true;
+  const uint64_t before = Allocations();
+  for (uint64_t i = 0; i < kPackets; ++i) {
+    ok &= gateway.Submit(device_of_shard[i % device_of_shard.size()],
+                         packets[i % packets.size()]);
+  }
+  WaitForProcessed(gateway, submitted + kPackets);
+  const uint64_t allocations = Allocations() - before;
+  gateway.Stop();
+
+  EXPECT_TRUE(ok);
+  // Every third packet leaks: matching really ran on every packet.
+  EXPECT_EQ(gateway.matched() - matched_before, (kPackets + 2) / 3);
+  EXPECT_EQ(allocations, 0u) << "allocations per packet: "
+                             << static_cast<double>(allocations) / kPackets;
 }
 
 }  // namespace

@@ -81,12 +81,12 @@ TEST(BoundedQueueTest, CloseWakesBlockedConsumers) {
 TEST(BoundedQueueTest, PopBatchRespectsLimitAndOrder) {
   BoundedQueue<int> q(8);
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.TryPush(i));
-  std::vector<int> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 4), 4u);
+  std::vector<int> batch(4, -1);
+  EXPECT_EQ(q.PopBatch(batch.data(), 4), 4u);
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-  batch.clear();
-  EXPECT_EQ(q.PopBatch(&batch, 4), 2u);
-  EXPECT_EQ(batch, (std::vector<int>{4, 5}));
+  batch.assign(4, -1);
+  EXPECT_EQ(q.PopBatch(batch.data(), 4), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{4, 5, -1, -1}));  // rest untouched
 }
 
 // The ring's head walks past the end of the slot vector many times over;
@@ -138,13 +138,12 @@ TEST(BoundedQueueTest, CloseDrainsAWrappedBacklogInOrder) {
   ASSERT_TRUE(q.TryPush(5));
   q.Close();
   EXPECT_FALSE(q.TryPush(6));
-  std::vector<int> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 3), 3u);
-  ASSERT_TRUE(q.Pop(&out));
-  batch.push_back(out);
+  std::vector<int> batch(4);
+  EXPECT_EQ(q.PopBatch(batch.data(), 3), 3u);
+  ASSERT_TRUE(q.Pop(&batch[3]));
   EXPECT_EQ(batch, (std::vector<int>{2, 3, 4, 5}));
   EXPECT_FALSE(q.Pop(&out));
-  EXPECT_EQ(q.PopBatch(&batch, 3), 0u);
+  EXPECT_EQ(q.PopBatch(batch.data(), 3), 0u);
 }
 
 // Growth stops at capacity: a full ring that has grown refuses the next
@@ -153,27 +152,59 @@ TEST(BoundedQueueTest, TryPushRefusedAtCapacityAfterGrowth) {
   BoundedQueue<int> q(5);  // the ring grows 1 -> 2 -> 4 -> 5
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.TryPush(i)) << i;
   EXPECT_FALSE(q.TryPush(5));
-  EXPECT_FALSE(q.TryEmplace(5));
+  bool filled = false;
+  EXPECT_FALSE(q.PushWith(false, [&](int& slot) { filled = true; slot = 5; }));
+  EXPECT_FALSE(filled);  // a refused push never touches a slot
   EXPECT_EQ(q.size(), 5u);
-  std::vector<int> batch;
-  EXPECT_EQ(q.PopBatch(&batch, 10), 5u);
+  std::vector<int> batch(10);
+  EXPECT_EQ(q.PopBatch(batch.data(), 10), 5u);
+  batch.resize(5);
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// Strings longer than the small-string buffer, so every item owns heap.
+std::string Long(const std::string& tag) {
+  return tag + std::string(40, '.');
 }
 
 TEST(BoundedQueueTest, CapacityOne) {
   BoundedQueue<std::string> q(1);
   std::string out;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(q.TryPush("item-" + std::to_string(i)));
-    EXPECT_FALSE(q.TryEmplace("refused"));
+    ASSERT_TRUE(q.TryPush(Long("item-" + std::to_string(i))));
+    EXPECT_FALSE(q.TryPush(Long("refused")));
     ASSERT_TRUE(q.Pop(&out));
-    EXPECT_EQ(out, "item-" + std::to_string(i));
+    EXPECT_EQ(out, Long("item-" + std::to_string(i)));
   }
-  ASSERT_TRUE(q.TryEmplace("last"));
+  ASSERT_TRUE(q.TryPush(Long("last")));
   q.Close();
   ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out, "last");
+  EXPECT_EQ(out, Long("last"));
   EXPECT_FALSE(q.Pop(&out));
+}
+
+// PushWith fills the slot in place, and PopBatch swaps: the slot a consumer
+// pops from takes the consumer's old item, so the next push into that slot
+// reuses the consumer's buffer instead of allocating one.
+TEST(BoundedQueueTest, SwapPopHandsTheConsumersBufferBackToTheSlot) {
+  BoundedQueue<std::string> q(1);
+  std::string held = Long("consumer");
+  const char* held_buffer = held.data();
+  ASSERT_TRUE(q.TryPush(Long("first")));
+  ASSERT_TRUE(q.Pop(&held));
+  EXPECT_EQ(held, Long("first"));
+  const std::string second = Long("second");
+  const char* slot_buffer = nullptr;
+  ASSERT_TRUE(q.PushWith(false, [&](std::string& slot) {
+    EXPECT_EQ(slot, Long("consumer"));  // the consumer's old item
+    slot_buffer = slot.data();
+    slot = second;  // fits: copy-assign reuses the capacity
+  }));
+  EXPECT_EQ(slot_buffer, held_buffer);
+  std::string out;
+  ASSERT_TRUE(q.Pop(&out));
+  EXPECT_EQ(out, second);
+  EXPECT_EQ(out.data(), held_buffer);
 }
 
 }  // namespace

@@ -192,7 +192,7 @@ TEST(DetectionGatewayTest, PerDeviceOrderIsPreserved) {
     uint32_t device = i % 10;
     HttpPacket p = AdPacket(device, "seq" + std::to_string(i), false);
     if (device == 3) expected.push_back(p.request_line);
-    ASSERT_TRUE(gateway.Submit(device, std::move(p)));
+    ASSERT_TRUE(gateway.Submit(device, p));
   }
   gateway.Stop();
   EXPECT_EQ(order_device3, expected);

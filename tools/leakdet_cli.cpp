@@ -52,7 +52,8 @@
 // epoch is logged too, so a killed run resumes exactly where the log ends —
 // rerun the same command and it recovers, replays, and continues.
 //
-// Exit status: 0 on success, 1 on any error (message on stderr).
+// Exit status: 0 on success, 1 on any error (message on stderr), 2 on a
+// --flag the subcommand does not read.
 
 #include <algorithm>
 #include <cstdio>
@@ -63,6 +64,7 @@
 #include <memory>
 #include <thread>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.h"
@@ -107,6 +109,15 @@ class Args {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  /// The first --flag given that is not in `known` ("" if none).
+  std::string FirstUnknown(const std::vector<std::string_view>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
+  }
   std::string Get(const std::string& key, std::string def = "") const {
     auto it = values_.find(key);
     return it == values_.end() ? def : it->second;
@@ -948,23 +959,59 @@ int Usage() {
   return 1;
 }
 
+/// A subcommand and every --flag it reads; any other flag is rejected
+/// before the command runs, so a typo never runs with defaults.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", CmdGenerate,
+       {"out", "device", "scale", "seed", "with-obfuscated-module", "pcap"}},
+      {"split", CmdSplit,
+       {"trace", "device", "suspicious", "normal", "xor-key"}},
+      {"sign", CmdSign,
+       {"suspicious", "normal", "out", "n", "cut", "compressor", "seed",
+        "scope-by-host", "family", "bayes"}},
+      {"detect", CmdDetect, {"signatures", "trace", "max-print", "explain"}},
+      {"eval", CmdEval, {"signatures", "trace", "n"}},
+      {"pcap-export", CmdPcapExport, {"trace", "out"}},
+      {"pcap-import", CmdPcapImport, {"pcap", "out"}},
+      {"report", CmdReport, {"out", "scale", "seed", "n"}},
+      // Both forms: a static feed, and the live stack (CmdServeLive).
+      {"serve", CmdServe,
+       {"signatures", "port", "admin-port", "serve-requests", "trace",
+        "device", "retrain-after", "n", "seed", "shards", "data-dir",
+        "sync-policy", "rate", "loops"}},
+      {"fetch", CmdFetch, {"port", "out"}},
+      {"train", CmdTrain,
+       {"trace", "device", "data-dir", "out", "retrain-after", "n", "seed",
+        "sync-policy"}},
+      {"federate", CmdFederate,
+       {"k", "tenant", "out", "from-shards", "shards", "events", "seed",
+        "devices", "skew", "scale", "n", "eval", "shard-export", "holdout",
+        "data-dir"}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string_view command = argv[1];
+  std::string_view name = argv[1];
   Args args(argc, argv);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "split") return CmdSplit(args);
-  if (command == "sign") return CmdSign(args);
-  if (command == "detect") return CmdDetect(args);
-  if (command == "eval") return CmdEval(args);
-  if (command == "pcap-export") return CmdPcapExport(args);
-  if (command == "pcap-import") return CmdPcapImport(args);
-  if (command == "report") return CmdReport(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "fetch") return CmdFetch(args);
-  if (command == "train") return CmdTrain(args);
-  if (command == "federate") return CmdFederate(args);
+  for (const Command& command : Commands()) {
+    if (command.name != name) continue;
+    if (std::string unknown = args.FirstUnknown(command.flags);
+        !unknown.empty()) {
+      std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
+      return 2;
+    }
+    return command.run(args);
+  }
   return Usage();
 }

@@ -235,7 +235,7 @@ int main(int argc, char** argv) {
       leakdet::core::HttpPacket packet =
           leakdet::testing::GeneratePacket(&rng, tokens, flags.p_sensitive);
       const uint64_t device = rng.UniformInt(flags.devices);
-      if (cluster.Submit(device, std::move(packet))) ++submitted;
+      if (cluster.Submit(device, packet)) ++submitted;
     }
     // Let the batch drain before replicating, so this epoch's training is
     // on disk for the followers to mirror.

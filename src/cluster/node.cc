@@ -5,6 +5,7 @@
 #include "cluster/replication.h"
 #include "http/url.h"
 #include "match/signature.h"
+#include "net/tcp.h"
 #include "store/snapshot.h"
 #include "util/strutil.h"
 

@@ -1,17 +1,10 @@
 #include "cluster/ring.h"
 
+#include "util/rng.h"
+
 namespace leakdet::cluster {
 
 namespace {
-
-/// SplitMix64 finalizer — the avalanche stage only, used to spread both
-/// vnode placements and device ids uniformly over the ring.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// FNV-1a over the node id, then avalanched: the string hash alone clusters
 /// for ids differing in one trailing character ("node-1" vs "node-2").

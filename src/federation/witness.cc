@@ -4,18 +4,15 @@
 #include <unordered_map>
 
 #include "match/aho_corasick.h"
+#include "util/rng.h"
 
 namespace leakdet::federation {
 
 uint64_t DeviceWitnessHash(uint64_t device_key) {
-  // SplitMix64 finalizer: cheap, invertible, full-avalanche. Hashing (rather
-  // than shipping keys) keeps raw device identity out of the exchanged
-  // exports; collisions only ever *under*-count distinct devices, which is
-  // the safe direction for a privacy threshold.
-  uint64_t z = device_key + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  // Hashing (rather than shipping keys) keeps raw device identity out of
+  // the exchanged exports; collisions only ever *under*-count distinct
+  // devices, which is the safe direction for a privacy threshold.
+  return Mix64(device_key);
 }
 
 void WitnessTable::Observe(const std::string& token, uint64_t device_hash) {

@@ -3,21 +3,9 @@
 #include <string>
 
 #include "net/host.h"
+#include "util/rng.h"
 
 namespace leakdet::gateway {
-
-namespace {
-
-/// SplitMix64 finalizer: device ids are often sequential, so mix them before
-/// taking the shard residue to avoid striping all traffic onto shard 0..k.
-uint64_t MixDeviceId(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 DetectionGateway::DetectionGateway(GatewayOptions options)
     : options_(options),
@@ -84,7 +72,7 @@ void DetectionGateway::Stop() {
 }
 
 size_t DetectionGateway::shard_of(uint64_t device_id) const {
-  return static_cast<size_t>(MixDeviceId(device_id) % shards_.size());
+  return static_cast<size_t>(Mix64(device_id) % shards_.size());
 }
 
 uint64_t DetectionGateway::epoch_age_ns() const {
@@ -202,11 +190,7 @@ void DetectionGateway::WorkerLoop(size_t shard_index) {
                                                                item.enqueued)
               .count()));
       core::AppendPacketContent(item.packet, &contents[j]);
-      if (options_.use_host_scope) {
-        net::RegistrableDomainInto(item.packet.destination.host, &domains[j]);
-      } else {
-        domains[j].clear();
-      }
+      net::RegistrableDomainInto(item.packet.destination.host, &domains[j]);
     }
 
     // Pass 2: match the batch. Counter deltas accumulate in locals and land

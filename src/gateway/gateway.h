@@ -36,9 +36,6 @@ struct GatewayOptions {
   /// Max packets a worker drains per lock acquisition.
   size_t pop_batch = 64;
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  /// Enforce signature host scopes against the packet destination's
-  /// registrable domain (same switch as core::Detector).
-  bool use_host_scope = true;
   /// Time source for queue-wait and match timings. nullptr = Clock::Real().
   /// The harness injects a testing::VirtualClock here so timing histograms
   /// are deterministic under fault schedules.

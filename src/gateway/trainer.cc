@@ -140,8 +140,10 @@ bool TrainerLoop::Offer(const core::HttpPacket& packet,
 
 void TrainerLoop::Run() {
   // Popped by swap: the slot takes back this item's buffers from the last
-  // round, so forwarding a packet allocates and frees nothing.
+  // round, so forwarding a packet allocates and frees nothing. The WAL
+  // record is reused too: the packet is swapped in for the append and back.
   TrainingItem item;
+  store::FeedRecord record;
   uint64_t appends_unflushed = 0;
   while (mailbox_.Pop(&item)) {
     // Durability before ingestion: a record the server has acted on must
@@ -149,13 +151,13 @@ void TrainerLoop::Run() {
     // cannot reproduce. A record the log refused is therefore skipped.
     bool logged = true;
     if (options_.store != nullptr) {
-      store::FeedRecord record;
       record.feed_version = item.verdict.feed_version;
       record.sensitive = item.verdict.sensitive;
       record.shard = item.verdict.shard;
       record.num_matches = item.verdict.num_matches;
-      record.packet = item.packet;
-      logged = options_.store->Append(std::move(record)).ok();
+      std::swap(record.packet, item.packet);
+      logged = options_.store->Append(record).ok();
+      std::swap(record.packet, item.packet);
       if (logged) {
         wal_appends_->Inc();
         ++appends_unflushed;

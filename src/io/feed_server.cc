@@ -1,19 +1,62 @@
 #include "io/feed_server.h"
 
-#include <chrono>
-
 #include "crypto/sha1.h"
-#include "http/parser.h"
-#include "http/response.h"
 #include "http/url.h"
+#include "net/tcp.h"
 #include "util/strutil.h"
 
 namespace leakdet::io {
 
-FeedServer::~FeedServer() { Stop(); }
+namespace {
+
+/// The feedserver.requests outcome label for one finished connection (a
+/// malformed request is answered 400, so it lands in bad_request).
+const char* OutcomeLabel(http::Server::Outcome outcome, int status) {
+  if (outcome == http::Server::Outcome::kDropped) return "dropped";
+  if (outcome == http::Server::Outcome::kTimedOut) return "timeout";
+  if (status == 200) return "ok";
+  if (status == 400) return "bad_request";
+  if (status == 404) return "not_found";
+  if (status == 405) return "method_not_allowed";
+  return "unavailable";
+}
+
+obs::Registry* RegistryOrDefault(obs::Registry* registry) {
+  return registry != nullptr ? registry : obs::Registry::Default();
+}
+
+/// A 200 carrying `payload` with its version and the SHA-1 the client
+/// verifies end to end: a flipped byte anywhere between here and the device
+/// must fail the fetch, never silently install wrong signatures.
+void SetDigestedPayload(uint64_t version, std::string payload,
+                        http::HttpResponse* response) {
+  response->set_status(200, "OK");
+  response->AddHeader("Content-Type", "text/plain");
+  response->AddHeader("X-Feed-Version", std::to_string(version));
+  response->AddHeader("X-Feed-Digest", crypto::Sha1Hex(payload));
+  response->set_body(std::move(payload));
+}
+
+}  // namespace
+
+FeedServer::FeedServer(FeedProvider provider, FeedServerOptions options)
+    : provider_(std::move(provider)),
+      outcomes_(RegistryOrDefault(options.registry), "feedserver.requests",
+                "outcome"),
+      request_ns_(RegistryOrDefault(options.registry)
+                      ->GetHistogram("feedserver.request_ns")),
+      server_([this](const http::HttpRequest& request) {
+                return Respond(request);
+              },
+              [this](http::Server::Outcome outcome, int status,
+                     uint64_t wall_ns) {
+                outcomes_.With(OutcomeLabel(outcome, status))->Inc();
+                request_ns_->Observe(wall_ns);
+              },
+              {options.request_deadline_ms, options.clock}) {}
 
 Status FeedServer::AddRoute(const std::string& path, RouteHandler handler) {
-  if (running_.load()) return Status::FailedPrecondition("already running");
+  if (server_.running()) return Status::FailedPrecondition("already running");
   if (path.empty() || path[0] != '/' || path == "/feed" || path == "/version") {
     return Status::InvalidArgument("invalid or reserved route path: " + path);
   }
@@ -22,201 +65,71 @@ Status FeedServer::AddRoute(const std::string& path, RouteHandler handler) {
   return Status::OK();
 }
 
-Status FeedServer::Start(uint16_t port) {
-  LEAKDET_ASSIGN_OR_RETURN(net::TcpListener listener,
-                           net::TcpListener::Bind(port));
-  return Start(std::make_unique<net::TcpListener>(std::move(listener)));
-}
-
-Status FeedServer::Start(std::unique_ptr<net::Listener> listener) {
-  if (running_.load()) return Status::FailedPrecondition("already running");
-  if (!listener || !listener->ok()) {
-    return Status::InvalidArgument("listener not open");
-  }
-  listener_ = std::move(listener);
-  port_ = listener_->port();
-  running_.store(true);
-  thread_ = std::thread([this] { Serve(); });
-  return Status::OK();
-}
-
-void FeedServer::Stop() {
-  if (!running_.exchange(false)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  if (thread_.joinable()) thread_.join();
-  if (listener_) listener_->Close();
-}
-
-void FeedServer::Serve() {
-  while (running_.load()) {
-    StatusOr<std::unique_ptr<net::Stream>> stream =
-        listener_->AcceptStream(100);
-    if (!stream.ok()) continue;  // timeout or transient error
-    Handle(std::move(*stream));
-  }
-}
-
-void FeedServer::Handle(std::unique_ptr<net::Stream> stream) {
-  Clock* clock = options_.clock != nullptr ? options_.clock : Clock::Real();
-  obs::ScopedTimer request_timer(request_ns_, clock);
-  // The budget covers the whole request: a client may not extend it by
-  // trickling bytes, because each read is bounded by the *remaining* budget,
-  // not a fresh per-read timeout.
-  const Clock::TimePoint deadline =
-      clock->Now() + std::chrono::milliseconds(options_.request_deadline_ms);
-  std::string raw;
-  bool failed = false;
-  while (raw.find("\r\n\r\n") == std::string::npos &&
-         raw.find("\n\n") == std::string::npos && raw.size() < 65536) {
-    Clock::TimePoint now = clock->Now();
-    // A clock that has stepped exactly onto the deadline is expired: the
-    // budget is [start, deadline), so `now >= deadline` ends the request.
-    if (now >= deadline) {
-      failed = true;
-      break;
-    }
-    // Round the remaining budget *up* to whole ms: truncation would turn a
-    // sub-millisecond remainder into SetReadTimeout(0) — which means "block
-    // forever", the exact opposite of an almost-expired deadline.
-    auto remaining_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - now)
-            .count();
-    int remaining_ms = static_cast<int>((remaining_ns + 999999) / 1000000);
-    (void)stream->SetReadTimeout(remaining_ms);
-    StatusOr<std::string> chunk = stream->ReadSome(4096);
-    if (!chunk.ok()) {
-      failed = true;  // deadline expired, or the connection died mid-request
-      break;
-    }
-    if (chunk->empty()) break;
-    raw += *chunk;
-  }
-  if (failed) {
-    requests_timed_out_.fetch_add(1);
-    if (raw.empty()) {
-      outcomes_.With("dropped")->Inc();
-      return;  // nothing ever arrived; just drop the connection
-    }
-    outcomes_.With("timeout")->Inc();
-    // A partial request that stalled out is not malformed — tell the client
-    // it was too slow rather than pretending its syntax was bad.
-    http::HttpResponse timeout_response;
-    timeout_response.set_status(408, "Request Timeout");
-    timeout_response.AddHeader("Connection", "close");
-    timeout_response.set_body("request incomplete before deadline\n");
-    (void)stream->WriteAll(timeout_response.Serialize());
-    return;
-  }
-
+http::HttpResponse FeedServer::Respond(const http::HttpRequest& request) {
   http::HttpResponse response;
-  StatusOr<http::HttpRequest> request = http::ParseRequest(raw);
-  if (!request.ok()) {
-    response.set_status(400, "Bad Request");
-    response.set_body("malformed request\n");
-    outcomes_.With("bad_request")->Inc();
+  http::Target target = request.SplitRequestTarget();
+  const std::string& path = target.path;
+  // Tenant routing: `?tenant=<name>` selects a namespaced feed. Resolved
+  // up front so /feed and /version share the lookup (and its 404s).
+  bool tenant_requested = false;
+  bool tenant_bad = false;
+  std::optional<std::pair<uint64_t, std::string>> tenant_feed;
+  if (auto params = http::ParseQuery(target.raw_query); params.ok()) {
+    for (const http::QueryParam& param : *params) {
+      if (param.key != "tenant") continue;
+      tenant_requested = true;
+      if (tenant_provider_) tenant_feed = tenant_provider_(param.value);
+      break;
+    }
   } else {
-    http::Target target = request->SplitRequestTarget();
-    const std::string& path = target.path;
-    // Tenant routing: `?tenant=<name>` selects a namespaced feed. Resolved
-    // up front so /feed and /version share the lookup (and its 404s).
-    bool tenant_requested = false;
-    bool tenant_bad = false;
-    std::optional<std::pair<uint64_t, std::string>> tenant_feed;
-    if (auto params = http::ParseQuery(target.raw_query); params.ok()) {
-      for (const http::QueryParam& param : *params) {
-        if (param.key != "tenant") continue;
-        tenant_requested = true;
-        if (tenant_provider_) tenant_feed = tenant_provider_(param.value);
-        break;
-      }
-    } else {
-      tenant_bad = true;
-    }
-    auto resolve = [&]() -> std::pair<uint64_t, std::string> {
-      return tenant_requested ? std::move(*tenant_feed) : provider_();
-    };
-    if (request->method() != "GET") {
-      response.set_status(405, "Method Not Allowed");
-      outcomes_.With("method_not_allowed")->Inc();
-    } else if (tenant_bad) {
-      response.set_status(400, "Bad Request");
-      response.set_body("malformed query\n");
-      outcomes_.With("bad_request")->Inc();
-    } else if ((path == "/feed" || path == "/version") && tenant_requested &&
-               !tenant_feed.has_value()) {
-      // An unknown tenant must fail loudly, never fall through to the
-      // default namespace: feeds are a per-tenant trust boundary.
-      response.set_status(404, "Not Found");
-      response.set_body("unknown tenant\n");
-      outcomes_.With("not_found")->Inc();
-    } else if (path == "/feed") {
-      auto [version, payload] = resolve();
-      response.set_status(200, "OK");
-      response.AddHeader("Content-Type", "text/plain");
-      response.AddHeader("X-Feed-Version", std::to_string(version));
-      // End-to-end integrity: a flipped byte anywhere between here and the
-      // device must fail the fetch, never silently install wrong signatures.
-      response.AddHeader("X-Feed-Digest", crypto::Sha1Hex(payload));
-      response.set_body(std::move(payload));
-      outcomes_.With("ok")->Inc();
-    } else if (path == "/version") {
-      auto [version, payload] = resolve();
-      (void)payload;
-      response.set_status(200, "OK");
-      response.AddHeader("Content-Type", "text/plain");
-      response.set_body(std::to_string(version));
-      outcomes_.With("ok")->Inc();
-    } else if (auto route = routes_.find(path); route != routes_.end()) {
-      // Extra routes (replication plane): same integrity contract as /feed —
-      // every successful payload is digest-protected end to end.
-      StatusOr<std::pair<uint64_t, std::string>> served =
-          route->second(target.raw_query);
-      if (served.ok()) {
-        auto& [version, payload] = *served;
-        response.set_status(200, "OK");
-        response.AddHeader("Content-Type", "text/plain");
-        response.AddHeader("X-Feed-Version", std::to_string(version));
-        response.AddHeader("X-Feed-Digest", crypto::Sha1Hex(payload));
-        response.set_body(std::move(payload));
-        outcomes_.With("ok")->Inc();
-      } else if (served.status().code() == StatusCode::kNotFound) {
-        response.set_status(404, "Not Found");
-        response.set_body(served.status().message() + "\n");
-        outcomes_.With("not_found")->Inc();
-      } else if (served.status().code() == StatusCode::kInvalidArgument) {
-        response.set_status(400, "Bad Request");
-        response.set_body(served.status().message() + "\n");
-        outcomes_.With("bad_request")->Inc();
-      } else {
-        response.set_status(503, "Service Unavailable");
-        response.set_body(served.status().message() + "\n");
-        outcomes_.With("unavailable")->Inc();
-      }
-    } else {
-      response.set_status(404, "Not Found");
-      response.set_body("unknown path\n");
-      outcomes_.With("not_found")->Inc();
-    }
+    tenant_bad = true;
   }
-  response.AddHeader("Connection", "close");
-  (void)stream->WriteAll(response.Serialize());
-  requests_served_.fetch_add(1);
+  auto resolve = [&]() -> std::pair<uint64_t, std::string> {
+    return tenant_requested ? std::move(*tenant_feed) : provider_();
+  };
+  if (request.method() != "GET") {
+    response.set_status(405, "Method Not Allowed");
+  } else if (tenant_bad) {
+    response.set_status(400, "Bad Request");
+    response.set_body("malformed query\n");
+  } else if ((path == "/feed" || path == "/version") && tenant_requested &&
+             !tenant_feed.has_value()) {
+    // An unknown tenant must fail loudly, never fall through to the
+    // default namespace: feeds are a per-tenant trust boundary.
+    response.set_status(404, "Not Found");
+    response.set_body("unknown tenant\n");
+  } else if (path == "/feed") {
+    auto [version, payload] = resolve();
+    SetDigestedPayload(version, std::move(payload), &response);
+  } else if (path == "/version") {
+    response.set_status(200, "OK");
+    response.AddHeader("Content-Type", "text/plain");
+    response.set_body(std::to_string(resolve().first));
+  } else if (auto route = routes_.find(path); route != routes_.end()) {
+    // Extra routes (replication plane): same integrity contract as /feed —
+    // every successful payload is digest-protected end to end.
+    StatusOr<std::pair<uint64_t, std::string>> served =
+        route->second(target.raw_query);
+    if (served.ok()) {
+      SetDigestedPayload(served->first, std::move(served->second), &response);
+    } else if (served.status().code() == StatusCode::kNotFound) {
+      response.set_status(404, "Not Found");
+      response.set_body(served.status().message() + "\n");
+    } else if (served.status().code() == StatusCode::kInvalidArgument) {
+      response.set_status(400, "Bad Request");
+      response.set_body(served.status().message() + "\n");
+    } else {
+      response.set_status(503, "Service Unavailable");
+      response.set_body(served.status().message() + "\n");
+    }
+  } else {
+    response.set_status(404, "Not Found");
+    response.set_body("unknown path\n");
+  }
+  return response;
 }
 
 namespace {
-
-StatusOr<http::HttpResponse> Get(net::Stream* stream,
-                                 const std::string& path) {
-  http::HttpRequest request("GET", path);
-  request.AddHeader("Host", "127.0.0.1");
-  request.AddHeader("Connection", "close");
-  LEAKDET_RETURN_IF_ERROR(stream->WriteAll(request.Serialize()));
-  stream->ShutdownWrite();
-  LEAKDET_ASSIGN_OR_RETURN(std::string raw, stream->ReadUntilClose());
-  return http::ParseResponse(raw);
-}
 
 /// "/feed" or "/feed?tenant=<percent-encoded name>".
 std::string TenantPath(const char* base, const std::string& tenant) {
@@ -228,7 +141,8 @@ std::string TenantPath(const char* base, const std::string& tenant) {
 
 StatusOr<FetchedFeed> FetchPathFrom(net::Stream* stream,
                                     const std::string& target) {
-  LEAKDET_ASSIGN_OR_RETURN(http::HttpResponse response, Get(stream, target));
+  LEAKDET_ASSIGN_OR_RETURN(http::HttpResponse response,
+                           http::Get(stream, target));
   if (response.status_code() != 200) {
     return Status::NotFound("fetch of " + target + " failed: HTTP " +
                             std::to_string(response.status_code()));
@@ -255,7 +169,7 @@ StatusOr<FetchedFeed> FetchFeedFrom(net::Stream* stream,
 StatusOr<uint64_t> FetchFeedVersionFrom(net::Stream* stream,
                                         const std::string& tenant) {
   LEAKDET_ASSIGN_OR_RETURN(http::HttpResponse response,
-                           Get(stream, TenantPath("/version", tenant)));
+                           http::Get(stream, TenantPath("/version", tenant)));
   if (response.status_code() != 200) {
     return Status::NotFound("version fetch failed: HTTP " +
                             std::to_string(response.status_code()));

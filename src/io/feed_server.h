@@ -1,32 +1,26 @@
 #ifndef LEAKDET_IO_FEED_SERVER_H_
 #define LEAKDET_IO_FEED_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "http/server.h"
 #include "net/stream.h"
-#include "net/tcp.h"
 #include "obs/metrics.h"
 #include "util/clock.h"
 #include "util/statusor.h"
 
 namespace leakdet::io {
 
-/// Tunables for FeedServer. Defaults serve production; tests inject a
-/// virtual clock and scripted listeners to make every deadline deterministic.
+/// Tunables for FeedServer: the transport's (whole-request deadline, clock)
+/// plus where its metrics go.
 struct FeedServerOptions {
-  /// Total budget for one connection to deliver its request, in ms. This is
-  /// a whole-request deadline, not a per-read timeout: a client trickling
-  /// one byte per read cannot extend it. A connection that exceeds it with a
-  /// partial request receives 408 Request Timeout; one that sent nothing is
-  /// silently dropped.
+  /// See http::ServerOptions::request_deadline_ms.
   int request_deadline_ms = 2000;
   /// Time source for the request deadline. nullptr = Clock::Real().
   Clock* clock = nullptr;
@@ -66,15 +60,7 @@ class FeedServer {
       std::function<StatusOr<std::pair<uint64_t, std::string>>(
           const std::string& raw_query)>;
 
-  explicit FeedServer(FeedProvider provider, FeedServerOptions options = {})
-      : provider_(std::move(provider)),
-        options_(options),
-        registry_(options.registry != nullptr ? options.registry
-                                              : obs::Registry::Default()),
-        outcomes_(registry_, "feedserver.requests", "outcome"),
-        request_ns_(registry_->GetHistogram("feedserver.request_ns")) {}
-
-  ~FeedServer();
+  explicit FeedServer(FeedProvider provider, FeedServerOptions options = {});
   FeedServer(const FeedServer&) = delete;
   FeedServer& operator=(const FeedServer&) = delete;
 
@@ -93,43 +79,40 @@ class FeedServer {
   Status AddRoute(const std::string& path, RouteHandler handler);
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the accept loop.
-  Status Start(uint16_t port = 0);
+  Status Start(uint16_t port = 0) { return server_.Start(port); }
 
   /// Starts the accept loop on an injected transport (testing seam: a
   /// testing::ScriptedListener delivers fault-scripted connections).
-  Status Start(std::unique_ptr<net::Listener> listener);
+  Status Start(std::unique_ptr<net::Listener> listener) {
+    return server_.Start(std::move(listener));
+  }
 
   /// Stops the accept loop and joins the server thread. Idempotent.
-  void Stop();
+  void Stop() { server_.Stop(); }
 
   /// The bound port (valid after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return server_.port(); }
 
   /// Requests served so far (observability for tests).
-  uint64_t requests_served() const { return requests_served_.load(); }
+  uint64_t requests_served() const { return server_.requests_served(); }
 
   /// Connections whose request never completed inside the deadline.
-  uint64_t requests_timed_out() const { return requests_timed_out_.load(); }
+  uint64_t requests_timed_out() const { return server_.requests_timed_out(); }
 
  private:
-  void Serve();
-  void Handle(std::unique_ptr<net::Stream> stream);
+  http::HttpResponse Respond(const http::HttpRequest& request);
 
   FeedProvider provider_;
   TenantFeedProvider tenant_provider_;
   std::map<std::string, RouteHandler> routes_;
-  FeedServerOptions options_;
   // Every handled connection lands in exactly one outcome series:
-  // ok / not_found / method_not_allowed / bad_request / timeout / dropped.
-  obs::Registry* registry_;
+  // ok / not_found / method_not_allowed / bad_request / unavailable /
+  // timeout / dropped.
   obs::CounterFamily outcomes_;
   obs::Histogram* request_ns_;
-  std::unique_ptr<net::Listener> listener_;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_timed_out_{0};
-  uint16_t port_ = 0;
+  // Last member: destroyed (stopped and joined) before anything its
+  // handler reads.
+  http::Server server_;
 };
 
 /// Result of one feed fetch.

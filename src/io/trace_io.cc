@@ -218,75 +218,6 @@ StatusOr<sim::LabeledPacket> ParseJsonLine(std::string_view line) {
   return lp;
 }
 
-// ---------------------------------------------------------------------------
-// CSV primitives (RFC 4180 quoting).
-// ---------------------------------------------------------------------------
-
-void AppendCsvField(std::string_view s, std::string* out) {
-  bool needs_quotes = s.find_first_of(",\"\r\n") != std::string_view::npos;
-  if (!needs_quotes) {
-    out->append(s);
-    return;
-  }
-  *out += '"';
-  for (char c : s) {
-    if (c == '"') *out += '"';
-    *out += c;
-  }
-  *out += '"';
-}
-
-/// Splits one CSV record starting at `*pos`; advances past the terminating
-/// newline. Handles quoted fields with embedded newlines.
-StatusOr<std::vector<std::string>> ReadCsvRecord(std::string_view text,
-                                                 size_t* pos) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool in_quotes = false;
-  bool done = false;
-  while (!done) {
-    if (*pos >= text.size()) {
-      if (in_quotes) return Status::Corruption("unterminated CSV quote");
-      break;
-    }
-    char c = text[(*pos)++];
-    if (in_quotes) {
-      if (c == '"') {
-        if (*pos < text.size() && text[*pos] == '"') {
-          field += '"';
-          ++(*pos);
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else {
-      switch (c) {
-        case '"':
-          in_quotes = true;
-          break;
-        case ',':
-          fields.push_back(std::move(field));
-          field.clear();
-          break;
-        case '\r':
-          break;  // swallow; expect \n next
-        case '\n':
-          done = true;
-          break;
-        default:
-          field += c;
-      }
-    }
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-constexpr std::string_view kCsvHeader =
-    "app,host,ip,port,rline,cookie,body,truth";
-
 /// The shared packet fields of a JSON object, without the closing brace so
 /// callers can extend the object (the JSONL writer adds the truth array).
 void AppendPacketJsonFields(const core::HttpPacket& packet, std::string* out) {
@@ -350,80 +281,6 @@ StatusOr<std::vector<sim::LabeledPacket>> ParseJsonl(std::string_view text) {
     std::string_view trimmed = TrimWhitespace(line);
     if (trimmed.empty()) continue;
     LEAKDET_ASSIGN_OR_RETURN(sim::LabeledPacket lp, ParseJsonLine(trimmed));
-    packets.push_back(std::move(lp));
-  }
-  return packets;
-}
-
-std::string SerializeCsv(const std::vector<sim::LabeledPacket>& packets) {
-  std::string out(kCsvHeader);
-  out += '\n';
-  for (const sim::LabeledPacket& lp : packets) {
-    out += std::to_string(lp.packet.app_id);
-    out += ',';
-    AppendCsvField(lp.packet.destination.host, &out);
-    out += ',';
-    AppendCsvField(lp.packet.destination.ip.ToString(), &out);
-    out += ',';
-    out += std::to_string(lp.packet.destination.port);
-    out += ',';
-    AppendCsvField(lp.packet.request_line, &out);
-    out += ',';
-    AppendCsvField(lp.packet.cookie, &out);
-    out += ',';
-    AppendCsvField(lp.packet.body, &out);
-    out += ',';
-    std::string truth;
-    for (size_t i = 0; i < lp.truth.size(); ++i) {
-      if (i) truth += ';';
-      truth += std::to_string(static_cast<int>(lp.truth[i]));
-    }
-    AppendCsvField(truth, &out);
-    out += '\n';
-  }
-  return out;
-}
-
-StatusOr<std::vector<sim::LabeledPacket>> ParseCsv(std::string_view text) {
-  size_t pos = 0;
-  LEAKDET_ASSIGN_OR_RETURN(std::vector<std::string> header,
-                           ReadCsvRecord(text, &pos));
-  std::string joined = Join(header, ",");
-  if (joined != kCsvHeader) {
-    return Status::Corruption("unexpected CSV header: " + joined);
-  }
-  std::vector<sim::LabeledPacket> packets;
-  while (pos < text.size()) {
-    // Skip blank trailing lines.
-    if (text[pos] == '\n') {
-      ++pos;
-      continue;
-    }
-    LEAKDET_ASSIGN_OR_RETURN(std::vector<std::string> f,
-                             ReadCsvRecord(text, &pos));
-    if (f.size() == 1 && f[0].empty()) continue;
-    if (f.size() != 8) return Status::Corruption("CSV record needs 8 fields");
-    sim::LabeledPacket lp;
-    LEAKDET_ASSIGN_OR_RETURN(uint64_t app, leakdet::ParseUint64(f[0]));
-    lp.packet.app_id = static_cast<uint32_t>(app);
-    lp.packet.destination.host = f[1];
-    LEAKDET_ASSIGN_OR_RETURN(lp.packet.destination.ip,
-                             net::Ipv4Address::Parse(f[2]));
-    LEAKDET_ASSIGN_OR_RETURN(uint64_t port, leakdet::ParseUint64(f[3]));
-    if (port > 65535) return Status::Corruption("port out of range");
-    lp.packet.destination.port = static_cast<uint16_t>(port);
-    lp.packet.request_line = f[4];
-    lp.packet.cookie = f[5];
-    lp.packet.body = f[6];
-    if (!f[7].empty()) {
-      for (std::string_view part : Split(f[7], ';')) {
-        LEAKDET_ASSIGN_OR_RETURN(uint64_t v, leakdet::ParseUint64(part));
-        if (v >= core::kNumSensitiveTypes) {
-          return Status::Corruption("bad sensitive type id");
-        }
-        lp.truth.push_back(static_cast<core::SensitiveType>(v));
-      }
-    }
     packets.push_back(std::move(lp));
   }
   return packets;

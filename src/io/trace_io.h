@@ -38,13 +38,6 @@ void AppendPacketJson(const core::HttpPacket& packet, std::string* out);
 /// accepted and ignored).
 StatusOr<core::HttpPacket> ParsePacketJson(std::string_view line);
 
-/// CSV with header "app,host,ip,port,rline,cookie,body,truth"; fields are
-/// RFC 4180 quoted, truth is ';'-separated type ids.
-std::string SerializeCsv(const std::vector<sim::LabeledPacket>& packets);
-
-/// Parses the SerializeCsv format (header required).
-StatusOr<std::vector<sim::LabeledPacket>> ParseCsv(std::string_view text);
-
 /// Serializes the experimenter's device-token registry as "key value" lines
 /// (android_id / imei / imsi / sim_serial / carrier; one block per device,
 /// blank-line separated). The input to the payload check.

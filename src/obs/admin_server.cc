@@ -1,11 +1,6 @@
 #include "obs/admin_server.h"
 
-#include <chrono>
-
-#include "http/message.h"
-#include "http/parser.h"
 #include "http/url.h"
-#include "net/tcp.h"
 
 namespace leakdet::obs {
 
@@ -46,15 +41,25 @@ std::string BuildInfoString() {
 }
 
 AdminServer::AdminServer(AdminServerOptions options)
-    : options_(options),
-      registry_(options.registry != nullptr ? options.registry
+    : registry_(options.registry != nullptr ? options.registry
                                             : Registry::Default()),
-      requests_by_path_(registry_, "admin.requests", "path") {
-  requests_timed_out_ = registry_->GetCounter("admin.requests_timed_out");
-  request_ns_ = registry_->GetHistogram("admin.request_ns");
-}
-
-AdminServer::~AdminServer() { Stop(); }
+      requests_by_path_(registry_, "admin.requests", "path"),
+      requests_timed_out_(registry_->GetCounter("admin.requests_timed_out")),
+      request_ns_(registry_->GetHistogram("admin.request_ns")),
+      server_(
+          [this](const http::HttpRequest& request) {
+            return Respond(request.method(), request.target());
+          },
+          [this](http::Server::Outcome outcome, int /*status*/,
+                 uint64_t wall_ns) {
+            if (outcome == http::Server::Outcome::kMalformed) {
+              requests_by_path_.With("bad_request")->Inc();
+            } else if (outcome != http::Server::Outcome::kHandled) {
+              requests_timed_out_->Inc();
+            }
+            request_ns_->Observe(wall_ns);
+          },
+          {options.request_deadline_ms, options.clock}) {}
 
 void AdminServer::AddStatusSection(std::string title, StatusSection section) {
   std::lock_guard<std::mutex> lock(sections_mu_);
@@ -69,42 +74,6 @@ void AdminServer::AddStatusSection(std::string title, StatusSection section) {
     }
   }
   sections_.emplace_back(std::move(title), std::move(section));
-}
-
-Status AdminServer::Start(uint16_t port) {
-  LEAKDET_ASSIGN_OR_RETURN(net::TcpListener listener,
-                           net::TcpListener::Bind(port));
-  return Start(std::make_unique<net::TcpListener>(std::move(listener)));
-}
-
-Status AdminServer::Start(std::unique_ptr<net::Listener> listener) {
-  if (running_.load()) return Status::FailedPrecondition("already running");
-  if (!listener || !listener->ok()) {
-    return Status::InvalidArgument("listener not open");
-  }
-  listener_ = std::move(listener);
-  port_ = listener_->port();
-  running_.store(true);
-  thread_ = std::thread([this] { Serve(); });
-  return Status::OK();
-}
-
-void AdminServer::Stop() {
-  if (!running_.exchange(false)) {
-    if (thread_.joinable()) thread_.join();
-    return;
-  }
-  if (thread_.joinable()) thread_.join();
-  if (listener_) listener_->Close();
-}
-
-void AdminServer::Serve() {
-  while (running_.load()) {
-    StatusOr<std::unique_ptr<net::Stream>> stream =
-        listener_->AcceptStream(100);
-    if (!stream.ok()) continue;  // timeout or transient error
-    Handle(std::move(*stream));
-  }
 }
 
 std::string AdminServer::RenderStatusz() const {
@@ -153,79 +122,6 @@ http::HttpResponse AdminServer::Respond(const std::string& method,
   }
   requests_by_path_.With(PathLabel(path))->Inc();
   return response;
-}
-
-void AdminServer::Handle(std::unique_ptr<net::Stream> stream) {
-  Clock* clock = options_.clock != nullptr ? options_.clock : Clock::Real();
-  ScopedTimer timer(request_ns_, clock);
-  // Same whole-request budget discipline as io::FeedServer: every read is
-  // bounded by the *remaining* budget, so trickled bytes cannot extend it.
-  const Clock::TimePoint deadline =
-      clock->Now() + std::chrono::milliseconds(options_.request_deadline_ms);
-  std::string raw;
-  bool failed = false;
-  while (raw.find("\r\n\r\n") == std::string::npos &&
-         raw.find("\n\n") == std::string::npos && raw.size() < 65536) {
-    Clock::TimePoint now = clock->Now();
-    if (now >= deadline) {
-      failed = true;
-      break;
-    }
-    // Round the remaining budget up to whole ms — truncation would turn a
-    // sub-millisecond remainder into SetReadTimeout(0) ("block forever").
-    auto remaining_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - now)
-            .count();
-    int remaining_ms = static_cast<int>((remaining_ns + 999999) / 1000000);
-    (void)stream->SetReadTimeout(remaining_ms);
-    StatusOr<std::string> chunk = stream->ReadSome(4096);
-    if (!chunk.ok()) {
-      failed = true;  // deadline expired, or the connection died mid-request
-      break;
-    }
-    if (chunk->empty()) break;
-    raw += *chunk;
-  }
-  if (failed) {
-    requests_timed_out_->Inc();
-    if (raw.empty()) return;  // nothing ever arrived; just drop it
-    http::HttpResponse timeout_response;
-    timeout_response.set_status(408, "Request Timeout");
-    timeout_response.AddHeader("Connection", "close");
-    timeout_response.set_body("request incomplete before deadline\n");
-    (void)stream->WriteAll(timeout_response.Serialize());
-    return;
-  }
-
-  http::HttpResponse response;
-  StatusOr<http::HttpRequest> request = http::ParseRequest(raw);
-  if (!request.ok()) {
-    response.set_status(400, "Bad Request");
-    response.set_body("malformed request\n");
-    requests_by_path_.With("bad_request")->Inc();
-  } else {
-    response = Respond(request->method(), request->target());
-  }
-  response.AddHeader("Connection", "close");
-  (void)stream->WriteAll(response.Serialize());
-  requests_served_.fetch_add(1);
-}
-
-StatusOr<http::HttpResponse> AdminGet(net::Stream* stream,
-                                      const std::string& path) {
-  http::HttpRequest request("GET", path);
-  request.AddHeader("Host", "127.0.0.1");
-  request.AddHeader("Connection", "close");
-  LEAKDET_RETURN_IF_ERROR(stream->WriteAll(request.Serialize()));
-  stream->ShutdownWrite();
-  LEAKDET_ASSIGN_OR_RETURN(std::string raw, stream->ReadUntilClose());
-  return http::ParseResponse(raw);
-}
-
-StatusOr<http::HttpResponse> AdminGet(uint16_t port, const std::string& path) {
-  LEAKDET_ASSIGN_OR_RETURN(net::TcpConnection connection,
-                           net::TcpConnectLoopback(port));
-  return AdminGet(&connection, path);
 }
 
 }  // namespace leakdet::obs

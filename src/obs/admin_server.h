@@ -1,17 +1,16 @@
 #ifndef LEAKDET_OBS_ADMIN_SERVER_H_
 #define LEAKDET_OBS_ADMIN_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "http/response.h"
+#include "http/server.h"
 #include "net/stream.h"
 #include "obs/metrics.h"
 #include "util/clock.h"
@@ -30,8 +29,7 @@ std::string BuildInfoString();
 struct AdminServerOptions {
   /// The registry /metrics exposes. nullptr = Registry::Default().
   Registry* registry = nullptr;
-  /// Whole-request deadline, exactly like io::FeedServer's: a client
-  /// trickling bytes cannot extend it.
+  /// See http::ServerOptions::request_deadline_ms.
   int request_deadline_ms = 2000;
   /// Time source for the request deadline. nullptr = Clock::Real().
   Clock* clock = nullptr;
@@ -54,7 +52,6 @@ class AdminServer {
   using StatusSection = std::function<std::string()>;
 
   explicit AdminServer(AdminServerOptions options = {});
-  ~AdminServer();
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
@@ -66,37 +63,31 @@ class AdminServer {
   void AddStatusSection(std::string title, StatusSection section);
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the accept loop.
-  Status Start(uint16_t port = 0);
+  Status Start(uint16_t port = 0) { return server_.Start(port); }
 
   /// Starts the accept loop on an injected transport (testing seam).
-  Status Start(std::unique_ptr<net::Listener> listener);
+  Status Start(std::unique_ptr<net::Listener> listener) {
+    return server_.Start(std::move(listener));
+  }
 
   /// Stops the accept loop and joins the server thread. Idempotent.
-  void Stop();
+  void Stop() { server_.Stop(); }
 
   /// The bound port (valid after Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return server_.port(); }
 
   /// Requests answered so far (any response, including 404s).
-  uint64_t requests_served() const { return requests_served_.load(); }
+  uint64_t requests_served() const { return server_.requests_served(); }
 
-  /// Pure request dispatch — what Handle() serves, exposed so unit tests
+  /// Pure request dispatch — what the server answers, exposed so unit tests
   /// can cover routing without a transport.
   http::HttpResponse Respond(const std::string& method,
                              const std::string& target) const;
 
  private:
-  void Serve();
-  void Handle(std::unique_ptr<net::Stream> stream);
   std::string RenderStatusz() const;
 
-  AdminServerOptions options_;
   Registry* registry_;
-  std::unique_ptr<net::Listener> listener_;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> requests_served_{0};
-  uint16_t port_ = 0;
 
   mutable std::mutex sections_mu_;
   std::vector<std::pair<std::string, StatusSection>> sections_;
@@ -106,16 +97,10 @@ class AdminServer {
   mutable CounterFamily requests_by_path_;
   Counter* requests_timed_out_ = nullptr;
   Histogram* request_ns_ = nullptr;
+  // Last member: destroyed (stopped and joined) before anything its
+  // handler reads.
+  http::Server server_;
 };
-
-/// Client helper: one GET over a freshly connected stream (the admin-plane
-/// counterpart of io::FetchFeedFrom — used by the chaos runner to scrape
-/// /metrics and /statusz through scripted connections).
-StatusOr<http::HttpResponse> AdminGet(net::Stream* stream,
-                                      const std::string& path);
-
-/// Client helper: one GET against a loopback AdminServer port.
-StatusOr<http::HttpResponse> AdminGet(uint16_t port, const std::string& path);
 
 }  // namespace leakdet::obs
 

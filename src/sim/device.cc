@@ -36,13 +36,10 @@ DeviceProfile MakeDevice(Rng* rng, const std::string& carrier) {
 }
 
 uint64_t DeviceStreamSeed(uint64_t fleet_seed, uint64_t index) {
-  // SplitMix64 finalizer over the (seed, index) pair: adjacent indices land
-  // on statistically independent streams, and the mix is a pure function so
+  // SplitMix64 over the (seed, index) pair: adjacent indices land on
+  // statistically independent streams, and the mix is a pure function so
   // the derivation is stable across runs and platforms.
-  uint64_t z = fleet_seed + 0x9E3779B97F4A7C15ULL * (index + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return Mix64(fleet_seed + 0x9E3779B97F4A7C15ULL * index);
 }
 
 DeviceProfile MakeDeviceAt(uint64_t fleet_seed, uint64_t index) {

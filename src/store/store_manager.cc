@@ -71,7 +71,7 @@ void StoreManager::RefreshWalGauges() {
       static_cast<int64_t>(wal_bytes_since_checkpoint_));
 }
 
-StatusOr<uint64_t> StoreManager::AppendToWal(FeedRecord record,
+StatusOr<uint64_t> StoreManager::AppendToWal(const FeedRecord& record,
                                              bool replicated) {
   const bool publish = record.is_publish();
   const uint64_t bytes_before = writer_->bytes_appended();
@@ -79,8 +79,8 @@ StatusOr<uint64_t> StoreManager::AppendToWal(FeedRecord record,
   const uint64_t last_before = last_sequence();
   StatusOr<uint64_t> sequence = [&] {
     Timed timed(append_ns_);
-    return replicated ? writer_->AppendReplicated(std::move(record))
-                      : writer_->Append(std::move(record));
+    return replicated ? writer_->AppendReplicated(record)
+                      : writer_->Append(record);
   }();
   wal_bytes_since_checkpoint_ += writer_->bytes_appended() - bytes_before;
   // A rotation closed the previous segment on everything appended before
@@ -98,12 +98,12 @@ StatusOr<uint64_t> StoreManager::AppendToWal(FeedRecord record,
   return sequence;
 }
 
-StatusOr<uint64_t> StoreManager::Append(FeedRecord record) {
-  return AppendToWal(std::move(record), /*replicated=*/false);
+StatusOr<uint64_t> StoreManager::Append(const FeedRecord& record) {
+  return AppendToWal(record, /*replicated=*/false);
 }
 
-StatusOr<uint64_t> StoreManager::AppendReplicated(FeedRecord record) {
-  return AppendToWal(std::move(record), /*replicated=*/true);
+StatusOr<uint64_t> StoreManager::AppendReplicated(const FeedRecord& record) {
+  return AppendToWal(record, /*replicated=*/true);
 }
 
 void StoreManager::NoteCheckpoint(const std::string& name, uint64_t sequence,
@@ -317,8 +317,7 @@ Status StoreManager::WriteSnapshot(const core::SignatureServer& server) {
     publish.feed_version = server.feed_version();
     publish.new_suspicious = server.new_suspicious();
     publish.signatures = signatures;
-    StatusOr<uint64_t> appended = AppendToWal(std::move(publish),
-                                              /*replicated=*/false);
+    StatusOr<uint64_t> appended = AppendToWal(publish, /*replicated=*/false);
     if (!appended.ok()) {
       snapshot_errors_->Inc();
       return appended.status();

@@ -80,13 +80,13 @@ class StoreManager {
   /// Appends one feed event (sequence assigned; verdict fields already set
   /// by the caller). Returns the assigned sequence. Durability follows the
   /// WAL sync policy — gate acknowledgement on durable_sequence().
-  StatusOr<uint64_t> Append(FeedRecord record);
+  StatusOr<uint64_t> Append(const FeedRecord& record);
 
   /// Replication apply: appends a record shipped from a leader's log,
   /// keeping its sequence. The record must continue this store's log exactly
   /// (sequence == last_sequence() + 1); anything else is rejected without a
   /// write, so a follower's log stays a prefix-mirror of its leader's.
-  StatusOr<uint64_t> AppendReplicated(FeedRecord record);
+  StatusOr<uint64_t> AppendReplicated(const FeedRecord& record);
 
   /// Installs a snapshot shipped from a leader (already parsed — i.e.
   /// digest-verified) as this store's newest checkpoint. The local log must
@@ -158,7 +158,7 @@ class StoreManager {
 
   /// Appends through the writer with the append metrics, and counts the
   /// framed bytes toward the next checkpoint.
-  StatusOr<uint64_t> AppendToWal(FeedRecord record, bool replicated);
+  StatusOr<uint64_t> AppendToWal(const FeedRecord& record, bool replicated);
 
   /// Writes the full checkpoint of `server` (whose serialized feed is
   /// `signatures`) at last_sequence() and makes it the newest one.

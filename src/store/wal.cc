@@ -116,15 +116,17 @@ bool ParseSegmentFileName(std::string_view name, uint64_t* id) {
 
 namespace {
 
-/// Encodes one frame directly onto `*out` (no intermediate payload/frame
+/// Encodes one frame of `record`, carrying `sequence` in place of
+/// `record.sequence`, directly onto `*out` (no intermediate payload/frame
 /// strings — this runs per record on the gateway's hot training path). The
 /// 9-byte header is reserved up front and backpatched once the payload size
 /// and CRC are known.
-void AppendFrame(const FeedRecord& record, std::string* out) {
+void AppendFrame(const FeedRecord& record, uint64_t sequence,
+                 std::string* out) {
   const size_t head = out->size();
   out->append(8, '\0');  // crc u32 + length u32; type starts the covered part
   out->push_back(static_cast<char>(record.type));
-  PutU64(record.sequence, out);
+  PutU64(sequence, out);
   PutU64(record.feed_version, out);
   if (record.is_publish()) {
     PutU64(record.new_suspicious, out);
@@ -149,7 +151,7 @@ void AppendFrame(const FeedRecord& record, std::string* out) {
 
 std::string FrameRecord(const FeedRecord& record) {
   std::string frame;
-  AppendFrame(record, &frame);
+  AppendFrame(record, record.sequence, &frame);
   return frame;
 }
 
@@ -328,7 +330,7 @@ Status WalWriter::Flush() {
   return Status::OK();
 }
 
-StatusOr<uint64_t> WalWriter::AppendReplicated(FeedRecord record) {
+StatusOr<uint64_t> WalWriter::AppendReplicated(const FeedRecord& record) {
   // A replica's log must stay a byte-for-byte prefix-mirror of its leader's
   // sequence space: accept exactly the next expected record, nothing else.
   const uint64_t expected =
@@ -339,10 +341,10 @@ StatusOr<uint64_t> WalWriter::AppendReplicated(FeedRecord record) {
         " does not continue the log (expected " +
         std::to_string(expected) + ")");
   }
-  return Append(std::move(record));
+  return Append(record);
 }
 
-StatusOr<uint64_t> WalWriter::Append(FeedRecord record) {
+StatusOr<uint64_t> WalWriter::Append(const FeedRecord& record) {
   if (broken_) {
     return Status::FailedPrecondition("WAL writer is broken (unrepaired tail)");
   }
@@ -357,8 +359,9 @@ StatusOr<uint64_t> WalWriter::Append(FeedRecord record) {
     }
   }
   const size_t staged = pending_.size();
-  record.sequence = record.is_publish() ? next_sequence_ - 1 : next_sequence_;
-  AppendFrame(record, &pending_);
+  const uint64_t sequence =
+      record.is_publish() ? next_sequence_ - 1 : next_sequence_;
+  AppendFrame(record, sequence, &pending_);
   if (!record.is_publish()) ++next_sequence_;
   bytes_appended_ += pending_.size() - staged;
   ++unsynced_records_;
@@ -378,7 +381,7 @@ StatusOr<uint64_t> WalWriter::Append(FeedRecord record) {
   if (broken_) {
     return Status::FailedPrecondition("WAL writer is broken (unrepaired tail)");
   }
-  return record.sequence;
+  return sequence;
 }
 
 Status WalWriter::Sync() {

@@ -162,8 +162,8 @@ class WalWriter {
   /// Sync() before destruction for durability.
   ~WalWriter();
 
-  /// Stages `record` and applies the sync policy. Its `sequence` field is
-  /// assigned: the next sequence for an ingest record, the last one for a
+  /// Stages `record` and applies the sync policy. The staged frame carries
+  /// an assigned sequence in place of `record.sequence`: the next sequence for an ingest record, the last one for a
   /// publish record (which needs an ingest record before it). On a write
   /// fault the segment tail is truncated back to the last flushed batch
   /// boundary and the whole staged batch is retried — immediately once, then
@@ -171,14 +171,14 @@ class WalWriter {
   /// the writer, which then refuses further appends. Flush and sync failures
   /// do not fail the append: the durable watermark simply does not advance
   /// (callers gate acknowledgement on it). Returns the assigned sequence.
-  StatusOr<uint64_t> Append(FeedRecord record);
+  StatusOr<uint64_t> Append(const FeedRecord& record);
 
   /// Replication apply: appends `record` keeping its caller-assigned
   /// sequence, which must be exactly the one Append() would assign —
   /// followers mirror the leader's log, so a gap or rewind is
   /// InvalidArgument and nothing is written. Same durability/repair contract
   /// as Append().
-  StatusOr<uint64_t> AppendReplicated(FeedRecord record);
+  StatusOr<uint64_t> AppendReplicated(const FeedRecord& record);
 
   /// Writes any staged batch and forces an fdatasync, advancing the durable
   /// watermark past every record appended so far.

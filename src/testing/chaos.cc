@@ -16,6 +16,7 @@
 #include "gateway/gateway.h"
 #include "gateway/trainer.h"
 #include "http/response.h"
+#include "http/server.h"
 #include "io/feed_server.h"
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
@@ -328,7 +329,7 @@ ChaosResult RunChaos(const ChaosOptions& options) {
       (void)admin_client->SetReadTimeout(5000);
       ++result.admin_fetches;
       StatusOr<http::HttpResponse> fetched =
-          obs::AdminGet(admin_client.get(), admin_path);
+          http::Get(admin_client.get(), admin_path);
       if (fetched.ok() && fetched->status_code() == 200) {
         ++result.admin_fetch_ok;
       } else {

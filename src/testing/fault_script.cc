@@ -11,15 +11,6 @@ namespace leakdet::testing {
 
 namespace {
 
-/// SplitMix64 finalizer: decorrelates connection ids before seeding each
-/// plan's Rng, so consecutive ids get unrelated fault streams.
-uint64_t Mix(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 StatusOr<double> ParseProbability(std::string_view value) {
   std::string buf(value);
   errno = 0;
@@ -236,7 +227,7 @@ StatusOr<FaultScript> FaultScript::Load(const std::string& spec) {
 }
 
 FaultPlan FaultScript::PlanForConnection(uint64_t conn_id) const {
-  return FaultPlan(Mix(seed_ ^ Mix(conn_id)), profile_);
+  return FaultPlan(Mix64(seed_ ^ Mix64(conn_id)), profile_);
 }
 
 }  // namespace leakdet::testing

@@ -9,6 +9,17 @@
 
 namespace leakdet {
 
+/// One SplitMix64 step as a pure function: the golden-ratio increment, then
+/// the full-avalanche finalizer. Cheap and invertible; used wherever ids or
+/// seeds that are often sequential must spread uniformly (shard and ring
+/// placement, per-device streams, fault plans, witness hashes).
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Derives a stream-specific seed from a base seed. `MixSeed(seed, 0)` is
 /// the identity, so stream 0 reproduces the historical single-shot stream
 /// (published goldens and one-shot batch runs keep their seeds); every other

@@ -174,13 +174,6 @@ TEST(FuzzTest, JsonlParserSurvivesRandomAndTruncatedInput) {
   }
 }
 
-TEST(FuzzTest, CsvParserSurvivesRandomInput) {
-  Rng rng(7);
-  for (int trial = 0; trial < 1000; ++trial) {
-    io::ParseCsv(RandomBytes(&rng, 150));
-  }
-}
-
 TEST(FuzzTest, SignatureDeserializerSurvivesMutations) {
   match::ConjunctionSignature sig;
   sig.id = "sig-0";

@@ -3,7 +3,8 @@
 // every packet the gateway serves, so once the ring has grown to the
 // backlog's high-water mark and its slots hold buffers as large as the
 // packets, moving a packet through it must not touch the heap, on the
-// producer's thread or the worker's. This binary replaces the global
+// producer's thread or the worker's. Also the trainer's WAL append: logging
+// a forwarded packet must not copy it. This binary replaces the global
 // operator new/delete with counting versions, which is why it is a test
 // binary of its own.
 
@@ -20,9 +21,14 @@
 #include <vector>
 
 #include "core/packet.h"
+#include "core/payload_check.h"
+#include "core/signature_server.h"
 #include "gateway/bounded_queue.h"
 #include "gateway/gateway.h"
+#include "gateway/trainer.h"
 #include "match/compiled_set.h"
+#include "store/store_manager.h"
+#include "testing/scripted_file.h"
 
 namespace {
 
@@ -257,6 +263,65 @@ TEST(GatewayAllocTest, SubmitByLvalueAllocatesNothingInSteadyState) {
   EXPECT_EQ(gateway.matched() - matched_before, (kPackets + 2) / 3);
   EXPECT_EQ(allocations, 0u) << "allocations per packet: "
                              << static_cast<double>(allocations) / kPackets;
+}
+
+/// Allocations per item of a running trainer's drain loop past warm-up,
+/// with `store` (may be null) attached. Nothing is sensitive to its oracle,
+/// so every item lands in a capped normal pool and no retrain runs; batches
+/// never exceed the mailbox, so nothing is shed.
+double TrainerAllocationsPerItem(store::StoreManager* store) {
+  core::PayloadCheck oracle(std::vector<core::DeviceTokens>{});
+  core::SignatureServer::Options server_options;
+  server_options.max_normal_pool = 128;
+  core::SignatureServer server(&oracle, server_options);
+  GatewayOptions gateway_options;
+  gateway_options.num_shards = 1;
+  DetectionGateway gateway(gateway_options);
+  TrainerOptions trainer_options;
+  trainer_options.queue_capacity = 64;
+  trainer_options.store = store;
+  TrainerLoop trainer(&server, &gateway, trainer_options);
+  EXPECT_TRUE(trainer.Start().ok());
+
+  std::vector<core::HttpPacket> packets;
+  for (uint32_t i = 0; i < 48; ++i) packets.push_back(MakePacket(i));
+  const Verdict verdict;
+  uint64_t offered = 0;
+  auto run_batches = [&](int batches) {
+    for (int b = 0; b < batches; ++b) {
+      for (size_t i = 0; i < trainer_options.queue_capacity; ++i) {
+        EXPECT_TRUE(trainer.Offer(packets[offered % packets.size()], verdict));
+        ++offered;
+      }
+      while (trainer.items_processed() < offered) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
+  };
+  // Warm-up: every mailbox slot and the pool's vector reach full size.
+  run_batches(16);
+  constexpr int kBatches = 200;
+  const uint64_t before = Allocations();
+  run_batches(kBatches);
+  const uint64_t allocations = Allocations() - before;
+  trainer.Stop();
+  EXPECT_EQ(trainer.training_drops(), 0u);
+  return static_cast<double>(allocations) /
+         (kBatches * trainer_options.queue_capacity);
+}
+
+// Logging a forwarded packet to the WAL frames it straight from the
+// trainer's buffers: attaching a store adds well under one allocation per
+// item (copying the packet into a fresh record cost four, one per field).
+TEST(TrainerAllocTest, WalAppendDoesNotCopyThePacket) {
+  const double without_store = TrainerAllocationsPerItem(nullptr);
+  leakdet::testing::ScriptedDir dir;
+  auto store = store::StoreManager::Open(&dir, "data", store::StoreOptions{});
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  const double with_store = TrainerAllocationsPerItem(store->get());
+  EXPECT_LT(with_store - without_store, 1.0)
+      << "per item: " << without_store << " without a store, " << with_store
+      << " with one";
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Property tests for the trace serialization formats over adversarial
 // bytes: every generated packet — printable or not — must round-trip
-// bit-exactly through JSONL, CSV, and the single-packet JSON used by the
-// WAL, and malformed input must be rejected cleanly, never crash. Also the
+// bit-exactly through JSONL and the single-packet JSON used by the WAL,
+// and malformed input must be rejected cleanly, never crash. Also the
 // crash-atomicity regression for io::WriteFile.
 
 #include "io/trace_io.h"
@@ -20,7 +20,7 @@ namespace leakdet::io {
 namespace {
 
 /// Adversarial string: any byte value, with escapes-in-waiting ('"', '\\',
-/// newlines, commas for CSV, NULs) over-represented.
+/// newlines, commas, NULs) over-represented.
 std::string NastyString(Rng* rng, size_t max_len) {
   static const char kSpice[] = {'"', '\\', '\n', '\r', '\t', ',', '\0',
                                 '{', '}',  '[',  ']',  ':',  '\x7f'};
@@ -76,27 +76,6 @@ TEST(TraceIoPropertyTest, JsonlRoundTripsAdversarialBytes) {
   }
 }
 
-TEST(TraceIoPropertyTest, CsvRoundTripsAdversarialBytes) {
-  const uint64_t seed = testing::TestSeed(977);
-  SCOPED_TRACE(testing::SeedTrace(seed));
-  Rng rng(seed);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<sim::LabeledPacket> packets;
-    size_t count = 1 + static_cast<size_t>(rng.UniformInt(8));
-    for (size_t i = 0; i < count; ++i) packets.push_back(NastyPacket(&rng));
-
-    std::string text = SerializeCsv(packets);
-    StatusOr<std::vector<sim::LabeledPacket>> parsed = ParseCsv(text);
-    ASSERT_TRUE(parsed.ok()) << "round " << round << ": "
-                             << parsed.status().message();
-    ASSERT_EQ(parsed->size(), packets.size());
-    for (size_t i = 0; i < packets.size(); ++i) {
-      EXPECT_EQ((*parsed)[i].packet, packets[i].packet) << "round " << round;
-      EXPECT_EQ((*parsed)[i].truth, packets[i].truth);
-    }
-  }
-}
-
 TEST(TraceIoPropertyTest, PacketJsonRoundTripsAdversarialBytes) {
   const uint64_t seed = testing::TestSeed(1013);
   SCOPED_TRACE(testing::SeedTrace(seed));
@@ -122,7 +101,6 @@ TEST(TraceIoPropertyTest, MalformedInputIsRejectedNotCrashed) {
   for (int round = 0; round < 300; ++round) {
     std::string noise = NastyString(&rng, 200);
     (void)ParseJsonl(noise);
-    (void)ParseCsv(noise);
     (void)ParsePacketJson(noise);
   }
   // Structured-but-broken lines must be rejected.

@@ -80,46 +80,6 @@ TEST(JsonlTest, EmptyInputYieldsEmpty) {
   EXPECT_TRUE(restored->empty());
 }
 
-TEST(CsvTest, RoundTrip) {
-  auto packets = SamplePackets();
-  std::string text = SerializeCsv(packets);
-  auto restored = ParseCsv(text);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->size(), packets.size());
-  for (size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_EQ((*restored)[i].packet, packets[i].packet) << i;
-    EXPECT_EQ((*restored)[i].truth, packets[i].truth) << i;
-  }
-}
-
-TEST(CsvTest, QuotesFieldsWithCommasQuotesNewlines) {
-  auto lp = MakeLp(5, "x.com", "GET /a,b?c=\"d\" HTTP/1.1", "k=\"v\"",
-                   "line1\r\nline2,with,commas");
-  std::string text = SerializeCsv({lp});
-  auto restored = ParseCsv(text);
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->size(), 1u);
-  EXPECT_EQ((*restored)[0].packet, lp.packet);
-}
-
-TEST(CsvTest, RejectsWrongHeader) {
-  EXPECT_FALSE(ParseCsv("a,b,c\n1,2,3\n").ok());
-  EXPECT_FALSE(ParseCsv("").ok());
-}
-
-TEST(CsvTest, RejectsWrongFieldCount) {
-  std::string text = "app,host,ip,port,rline,cookie,body,truth\n1,2,3\n";
-  EXPECT_FALSE(ParseCsv(text).ok());
-}
-
-TEST(CsvTest, RejectsBadIpOrPort) {
-  std::string good = SerializeCsv(SamplePackets());
-  std::string bad_ip = good;
-  size_t pos = bad_ip.find("173.194.7.9");
-  bad_ip.replace(pos, 11, "not-an-ip!!");
-  EXPECT_FALSE(ParseCsv(bad_ip).ok());
-}
-
 TEST(FileIoTest, WriteReadRoundTrip) {
   std::string path = ::testing::TempDir() + "/leakdet_io_test.bin";
   std::string contents("binary\x00payload\xff", 15);

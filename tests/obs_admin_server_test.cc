@@ -4,13 +4,18 @@
 
 #include "obs/admin_server.h"
 
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "http/server.h"
 #include "obs/metrics.h"
 #include "testing/scripted_conn.h"
+#include "testing/virtual_clock.h"
 
 namespace leakdet::obs {
 namespace {
@@ -129,7 +134,8 @@ TEST(AdminServerScriptedTest, ServesOverScriptedListener) {
 
   std::unique_ptr<testing::ScriptedStream> client = listener_ptr->Connect();
   (void)client->SetReadTimeout(5000);
-  StatusOr<http::HttpResponse> response = AdminGet(client.get(), "/healthz");
+  StatusOr<http::HttpResponse> response =
+      http::Get(client.get(), "/healthz");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status_code(), 200);
   EXPECT_EQ(response->body(), "ok\n");
@@ -138,12 +144,88 @@ TEST(AdminServerScriptedTest, ServesOverScriptedListener) {
       listener_ptr->Connect();
   (void)metrics_client->SetReadTimeout(5000);
   StatusOr<http::HttpResponse> metrics =
-      AdminGet(metrics_client.get(), "/metrics");
+      http::Get(metrics_client.get(), "/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_NE(metrics->body().find("app_requests 1\n"), std::string::npos);
 
   admin.Stop();
   EXPECT_EQ(admin.requests_served(), 2u);
+}
+
+// The admin plane keeps the feed server's whole-request deadline: a client
+// trickling a partial request cannot extend it and gets 408.
+TEST(AdminServerScriptedTest, TricklingClientGets408AtTheDeadline) {
+  using std::chrono::milliseconds;
+  Registry registry;
+  testing::VirtualClock clock;
+  AdminServerOptions options;
+  options.registry = &registry;
+  options.request_deadline_ms = 1000;
+  options.clock = &clock;
+  AdminServer admin(options);
+  auto listener = std::make_unique<testing::ScriptedListener>(&clock);
+  testing::ScriptedListener* listener_ptr = listener.get();
+  ASSERT_TRUE(admin.Start(std::move(listener)).ok());
+
+  std::unique_ptr<testing::ScriptedStream> client = listener_ptr->Connect();
+  // One byte every 300 virtual ms; the request line never completes.
+  for (char c : std::string("GET /metr")) {
+    ASSERT_TRUE(client->WriteAll(std::string(1, c)).ok());
+    clock.Advance(milliseconds(300));
+    std::this_thread::sleep_for(milliseconds(5));
+  }
+  // Keep virtual time moving until the server answers, wherever its request
+  // window opened.
+  std::atomic<bool> responded{false};
+  std::thread advancer([&] {
+    while (!responded.load()) {
+      std::this_thread::sleep_for(milliseconds(10));
+      clock.Advance(milliseconds(300));
+    }
+  });
+  StatusOr<std::string> response = client->ReadUntilClose();
+  responded.store(true);
+  advancer.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->rfind("HTTP/1.1 408 Request Timeout\r\n", 0), 0u)
+      << *response;
+  admin.Stop();
+  EXPECT_EQ(registry.GetCounter("admin.requests_timed_out")->Value(), 1u);
+  EXPECT_EQ(admin.requests_served(), 0u);
+}
+
+// A client that never sends a byte is dropped at the deadline: no response
+// bytes, one timed-out count.
+TEST(AdminServerScriptedTest, SilentClientIsDroppedWithoutAResponse) {
+  using std::chrono::milliseconds;
+  Registry registry;
+  testing::VirtualClock clock;
+  AdminServerOptions options;
+  options.registry = &registry;
+  options.request_deadline_ms = 500;
+  options.clock = &clock;
+  AdminServer admin(options);
+  auto listener = std::make_unique<testing::ScriptedListener>(&clock);
+  testing::ScriptedListener* listener_ptr = listener.get();
+  ASSERT_TRUE(admin.Start(std::move(listener)).ok());
+
+  std::unique_ptr<testing::ScriptedStream> client = listener_ptr->Connect();
+  std::atomic<bool> closed{false};
+  std::thread advancer([&] {
+    while (!closed.load()) {
+      std::this_thread::sleep_for(milliseconds(10));
+      clock.Advance(milliseconds(500));
+    }
+  });
+  StatusOr<std::string> response = client->ReadUntilClose();
+  closed.store(true);
+  advancer.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(*response, "");
+  EXPECT_EQ(client->stats().bytes_read, 0u);
+  admin.Stop();
+  EXPECT_EQ(registry.GetCounter("admin.requests_timed_out")->Value(), 1u);
+  EXPECT_EQ(admin.requests_served(), 0u);
 }
 
 TEST(AdminServerTcpTest, LoopbackSmoke) {
@@ -155,19 +237,22 @@ TEST(AdminServerTcpTest, LoopbackSmoke) {
   ASSERT_TRUE(admin.Start(/*port=*/0).ok());
   ASSERT_NE(admin.port(), 0);
 
-  StatusOr<http::HttpResponse> health = AdminGet(admin.port(), "/healthz");
+  StatusOr<http::HttpResponse> health =
+      http::Get(admin.port(), "/healthz");
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health->status_code(), 200);
   EXPECT_EQ(health->body(), "ok\n");
 
-  StatusOr<http::HttpResponse> metrics = AdminGet(admin.port(), "/metrics");
+  StatusOr<http::HttpResponse> metrics =
+      http::Get(admin.port(), "/metrics");
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->status_code(), 200);
   EXPECT_NE(metrics->body().find("# TYPE smoke_requests counter\n"),
             std::string::npos);
   EXPECT_NE(metrics->body().find("smoke_requests 3\n"), std::string::npos);
 
-  StatusOr<http::HttpResponse> statusz = AdminGet(admin.port(), "/statusz");
+  StatusOr<http::HttpResponse> statusz =
+      http::Get(admin.port(), "/statusz");
   ASSERT_TRUE(statusz.ok()) << statusz.status().ToString();
   EXPECT_EQ(statusz->status_code(), 200);
 

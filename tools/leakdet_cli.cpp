@@ -1,17 +1,22 @@
 // leakdet — command-line frontend for the whole pipeline, operating on
-// files so each stage can be scripted and inspected:
+// files so each stage can be scripted and inspected. `leakdet` with no
+// arguments lists every subcommand and the flags it reads (from the same
+// table that rejects unknown flags); this block adds defaults:
 //
 //   leakdet generate  --out trace.jsonl --device device.tokens
 //                     [--scale 0.1] [--seed 42] [--pcap trace.pcap]
+//                     [--with-obfuscated-module]
 //   leakdet split     --trace trace.jsonl --device device.tokens
 //                     --suspicious sus.jsonl --normal normal.jsonl
 //                     [--xor-key KEY]
 //   leakdet sign      --suspicious sus.jsonl --normal normal.jsonl
-//                     --out feed.sigs [--n 500] [--cut 2.0]
-//                     [--compressor lzw] [--bayes]
+//                     --out feed.sigs [--n 500] [--cut 2.0] [--seed 1]
+//                     [--compressor lzw] [--family conj|bayes] [--bayes]
+//                     [--scope-by-host]
 //   leakdet detect    --signatures feed.sigs --trace trace.jsonl
-//                     [--max-print 10]
-//   leakdet eval      --signatures feed.sigs --trace trace.jsonl [--n 500]
+//                     [--max-print 10] [--explain]
+//   leakdet eval      --signatures feed.sigs --trace trace.jsonl [--n N]
+//   leakdet report    --out report.md [--scale 0.05] [--seed 42] [--n N]
 //   leakdet pcap-export --trace trace.jsonl --out trace.pcap
 //   leakdet pcap-import --pcap trace.pcap --out trace.jsonl
 //   leakdet train     --trace trace.jsonl --device device.tokens
@@ -19,9 +24,13 @@
 //                     [--retrain-after 200] [--n 500] [--seed 1]
 //                     [--sync-policy every-record|every-n|on-rotate]
 //   leakdet serve     --signatures feed.sigs [--port P] [--admin-port P]
+//                     [--serve-requests N]
 //   leakdet serve     --trace trace.jsonl --device device.tokens
 //                     [--data-dir store/] [--port P] [--admin-port P]
 //                     [--rate 500] [--loops 0] [--retrain-after 200]
+//                     [--shards 2] [--n 500] [--seed 1]
+//                     [--sync-policy every-record|every-n|on-rotate]
+//   leakdet fetch     --port P --out feed.sigs
 //   leakdet federate  [--devices 24] [--shards 4] [--events 9000]
 //                     [--seed 8086] [--scale 0.05] [--skew 0.3] [--k 2]
 //                     [--tenant fleet] [--out feed.sigs] [--eval]
@@ -950,15 +959,6 @@ int CmdFederate(const Args& args) {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: leakdet <generate|split|sign|detect|eval|serve|fetch|"
-               "pcap-export|pcap-import|train|federate> [--options]\n"
-               "see the header of tools/leakdet_cli.cpp for per-command "
-               "options\n");
-  return 1;
-}
-
 /// A subcommand and every --flag it reads; any other flag is rejected
 /// before the command runs, so a typo never runs with defaults.
 struct Command {
@@ -996,6 +996,28 @@ const std::vector<Command>& Commands() {
         "data-dir"}},
   };
   return commands;
+}
+
+/// Lists every subcommand with the flags Commands() accepts for it.
+int Usage() {
+  constexpr size_t kIndent = 14;
+  std::string text = "usage: leakdet <command> [--flag value ...]\n";
+  for (const Command& command : Commands()) {
+    std::string line = "  " + std::string(command.name);
+    line.resize(std::max(line.size(), kIndent), ' ');
+    for (std::string_view flag : command.flags) {
+      if (line.size() + 3 + flag.size() > 79) {
+        text += line + "\n";
+        line.assign(kIndent, ' ');
+      }
+      line += " --";
+      line += flag;
+    }
+    text += line + "\n";
+  }
+  text += "defaults: see the header of tools/leakdet_cli.cpp\n";
+  std::fputs(text.c_str(), stderr);
+  return 1;
 }
 
 }  // namespace

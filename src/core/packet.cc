@@ -19,15 +19,15 @@ std::string PacketContent(const HttpPacket& packet) {
   return content;
 }
 
+std::array<std::string_view, 5> PacketContentPieces(const HttpPacket& packet) {
+  return {packet.request_line, "\n", packet.cookie, "\n", packet.body};
+}
+
 void AppendPacketContent(const HttpPacket& packet, std::string* out) {
   out->clear();
   out->reserve(packet.request_line.size() + packet.cookie.size() +
                packet.body.size() + 2);
-  *out += packet.request_line;
-  *out += '\n';
-  *out += packet.cookie;
-  *out += '\n';
-  *out += packet.body;
+  for (std::string_view piece : PacketContentPieces(packet)) *out += piece;
 }
 
 std::vector<std::string> PacketContents(

@@ -1,8 +1,10 @@
 #ifndef LEAKDET_CORE_PACKET_H_
 #define LEAKDET_CORE_PACKET_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
@@ -41,6 +43,11 @@ std::string PacketContent(const HttpPacket& packet);
 /// content, so a buffer that has reached the largest packet's size
 /// allocates nothing.
 void AppendPacketContent(const HttpPacket& packet, std::string* out);
+
+/// The pieces PacketContent joins, in order, as views into `packet`. A
+/// scanner fed them one after another sees exactly PacketContent's bytes,
+/// without the copy.
+std::array<std::string_view, 5> PacketContentPieces(const HttpPacket& packet);
 
 /// Batch form of PacketContent.
 std::vector<std::string> PacketContents(const std::vector<HttpPacket>& packets);

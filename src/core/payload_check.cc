@@ -36,9 +36,10 @@ std::string_view SensitiveTypeName(SensitiveType type) {
 
 PayloadCheck::PayloadCheck(const std::vector<DeviceTokens>& devices,
                            const std::vector<std::string>& known_xor_keys) {
-  auto add = [this](std::string needle, SensitiveType type) {
+  std::vector<std::string> needles;
+  auto add = [this, &needles](std::string needle, SensitiveType type) {
     if (needle.empty()) return;
-    needles_.push_back(std::move(needle));
+    needles.push_back(std::move(needle));
     needle_type_.push_back(type);
   };
   for (const DeviceTokens& d : devices) {
@@ -91,16 +92,16 @@ PayloadCheck::PayloadCheck(const std::vector<DeviceTokens>& devices,
       if (encoded != d.carrier) add(encoded, SensitiveType::kCarrier);
     }
   }
-  automaton_ = std::make_unique<match::AhoCorasick>(needles_);
+  automaton_ = std::make_unique<match::AhoCorasick>(needles);
 }
 
 std::vector<SensitiveType> PayloadCheck::Check(const HttpPacket& packet) const {
-  std::string content = PacketContent(packet);
-  std::vector<bool> seen(needles_.size(), false);
-  automaton_->MarkPresent(content, &seen);
   bool found[kNumSensitiveTypes] = {};
-  for (size_t i = 0; i < needles_.size(); ++i) {
-    if (seen[i]) found[static_cast<int>(needle_type_[i])] = true;
+  int32_t state = 0;
+  for (std::string_view piece : PacketContentPieces(packet)) {
+    state = automaton_->Scan(piece, state, [&](uint32_t needle) {
+      found[static_cast<int>(needle_type_[needle])] = true;
+    });
   }
   std::vector<SensitiveType> types;
   for (int t = 0; t < kNumSensitiveTypes; ++t) {
@@ -110,7 +111,11 @@ std::vector<SensitiveType> PayloadCheck::Check(const HttpPacket& packet) const {
 }
 
 bool PayloadCheck::IsSensitive(const HttpPacket& packet) const {
-  return automaton_->AnyMatch(PacketContent(packet));
+  int32_t state = 0;
+  for (std::string_view piece : PacketContentPieces(packet)) {
+    if (automaton_->AnyMatch(piece, &state)) return true;
+  }
+  return false;
 }
 
 void PayloadCheck::Split(const std::vector<HttpPacket>& packets,

@@ -71,8 +71,7 @@ class PayloadCheck {
              std::vector<HttpPacket>* normal) const;
 
  private:
-  std::vector<std::string> needles_;
-  std::vector<SensitiveType> needle_type_;
+  std::vector<SensitiveType> needle_type_;  ///< by needle (pattern) id
   std::unique_ptr<match::AhoCorasick> automaton_;
 };
 

@@ -1,52 +1,38 @@
 #include "core/siggen.h"
 
-#include <algorithm>
-
+#include "core/corpus_screen.h"
 #include "net/host.h"
 #include "text/token_extract.h"
 
 namespace leakdet::core {
-
-namespace {
-
-/// Fraction of corpus entries containing `token`.
-double DocumentFrequency(const std::string& token,
-                         const std::vector<std::string>& corpus) {
-  if (corpus.empty()) return 0.0;
-  size_t hits = 0;
-  for (const std::string& doc : corpus) {
-    if (doc.find(token) != std::string::npos) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(corpus.size());
-}
-
-/// Fraction of corpus entries containing *all* tokens.
-double ConjunctionFrequency(const std::vector<std::string>& tokens,
-                            const std::vector<std::string>& corpus) {
-  if (corpus.empty() || tokens.empty()) return 0.0;
-  size_t hits = 0;
-  for (const std::string& doc : corpus) {
-    bool all = true;
-    for (const std::string& t : tokens) {
-      if (doc.find(t) == std::string::npos) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(corpus.size());
-}
-
-}  // namespace
 
 match::SignatureSet SignatureGenerator::Generate(
     const std::vector<HttpPacket>& packets,
     const std::vector<std::vector<int32_t>>& clusters,
     const std::vector<std::string>& normal_corpus,
     std::vector<SiggenClusterReport>* reports) const {
-  std::vector<match::ConjunctionSignature> signatures;
+  // Invariant tokens of every eligible cluster's packet contents (§IV-E
+  // step 2), interned into one vocabulary so a single pass over the normal
+  // corpus screens them all.
+  CorpusScreen screen;
+  std::vector<std::vector<uint32_t>> cluster_tokens(clusters.size());
+  text::TokenExtractOptions tex;
+  tex.min_token_len = options_.min_token_len;
+  tex.max_tokens = options_.max_tokens_per_signature * 4;  // pre-screen pool
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    if (clusters[c].size() < options_.min_cluster_size) continue;
+    std::vector<std::string> contents;
+    contents.reserve(clusters[c].size());
+    for (int32_t idx : clusters[c]) {
+      contents.push_back(PacketContent(packets[static_cast<size_t>(idx)]));
+    }
+    for (const std::string& tok : text::ExtractInvariantTokens(contents, tex)) {
+      cluster_tokens[c].push_back(screen.Intern(tok));
+    }
+  }
+  screen.Scan(normal_corpus);
 
+  std::vector<match::ConjunctionSignature> signatures;
   for (size_t c = 0; c < clusters.size(); ++c) {
     SiggenClusterReport report;
     report.cluster_index = c;
@@ -57,26 +43,13 @@ match::SignatureSet SignatureGenerator::Generate(
       if (reports) reports->push_back(report);
       continue;
     }
-
-    // Invariant tokens of the cluster's packet contents (§IV-E step 2).
-    std::vector<std::string> contents;
-    contents.reserve(clusters[c].size());
-    for (int32_t idx : clusters[c]) {
-      contents.push_back(PacketContent(packets[static_cast<size_t>(idx)]));
-    }
-    text::TokenExtractOptions tex;
-    tex.min_token_len = options_.min_token_len;
-    tex.max_tokens = options_.max_tokens_per_signature * 4;  // pre-screen pool
-    std::vector<std::string> tokens = text::ExtractInvariantTokens(contents,
-                                                                   tex);
-    report.raw_tokens = tokens.size();
+    report.raw_tokens = cluster_tokens[c].size();
 
     // Generic-token screen against the normal corpus.
-    std::vector<std::string> kept;
-    for (std::string& tok : tokens) {
-      if (DocumentFrequency(tok, normal_corpus) <=
-          options_.max_token_normal_df) {
-        kept.push_back(std::move(tok));
+    std::vector<uint32_t> kept;
+    for (uint32_t tok : cluster_tokens[c]) {
+      if (screen.Frequency(tok) <= options_.max_token_normal_df) {
+        kept.push_back(tok);
       }
       if (kept.size() >= options_.max_tokens_per_signature) break;
     }
@@ -88,8 +61,7 @@ match::SignatureSet SignatureGenerator::Generate(
     }
 
     // Whole-signature false-positive screen.
-    double fp = ConjunctionFrequency(kept, normal_corpus);
-    if (fp > options_.max_signature_normal_fp) {
+    if (screen.ConjunctionFrequency(kept) > options_.max_signature_normal_fp) {
       report.reject_reason = "signature matches normal corpus";
       if (reports) reports->push_back(report);
       continue;
@@ -97,7 +69,7 @@ match::SignatureSet SignatureGenerator::Generate(
 
     match::ConjunctionSignature sig;
     sig.id = "sig-" + std::to_string(signatures.size());
-    sig.tokens = std::move(kept);
+    for (uint32_t tok : kept) sig.tokens.push_back(screen.token(tok));
     sig.cluster_size = static_cast<uint32_t>(clusters[c].size());
     if (options_.scope_by_host) {
       // Scope to the cluster's registrable domain when unanimous.

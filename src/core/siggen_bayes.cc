@@ -5,45 +5,33 @@
 #include <limits>
 #include <set>
 
+#include "core/corpus_screen.h"
 #include "text/token_extract.h"
 
 namespace leakdet::core {
-
-namespace {
-
-double DocumentFrequency(const std::string& token,
-                         const std::vector<std::string>& docs) {
-  if (docs.empty()) return 0.0;
-  size_t hits = 0;
-  for (const std::string& d : docs) {
-    if (d.find(token) != std::string::npos) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(docs.size());
-}
-
-}  // namespace
 
 match::BayesSignatureSet BayesSignatureGenerator::Generate(
     const std::vector<HttpPacket>& packets,
     const std::vector<std::vector<int32_t>>& clusters,
     const std::vector<std::string>& normal_corpus) const {
-  std::vector<match::BayesSignature> signatures;
-
-  for (const std::vector<int32_t>& cluster : clusters) {
-    if (cluster.size() < options_.min_cluster_size) continue;
-
-    std::vector<std::string> contents;
-    contents.reserve(cluster.size());
-    for (int32_t idx : cluster) {
+  // Candidate mining: invariant tokens of the whole cluster plus of small
+  // sub-samples, so tokens carried by only a majority of members (the
+  // polymorphic case) still enter the pool. Every cluster's candidates share
+  // one vocabulary, screened against the normal corpus in one pass.
+  CorpusScreen normal_screen;
+  std::vector<std::vector<std::string>> cluster_contents(clusters.size());
+  std::vector<std::vector<std::string>> cluster_candidates(clusters.size());
+  std::vector<std::vector<uint32_t>> normal_ids(clusters.size());
+  text::TokenExtractOptions tex;
+  tex.min_token_len = options_.min_token_len;
+  tex.max_tokens = options_.max_tokens_per_signature * 4;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    if (clusters[c].size() < options_.min_cluster_size) continue;
+    std::vector<std::string>& contents = cluster_contents[c];
+    contents.reserve(clusters[c].size());
+    for (int32_t idx : clusters[c]) {
       contents.push_back(PacketContent(packets[static_cast<size_t>(idx)]));
     }
-
-    // Candidate mining: invariant tokens of the whole cluster plus of small
-    // sub-samples, so tokens carried by only a majority of members (the
-    // polymorphic case) still enter the pool.
-    text::TokenExtractOptions tex;
-    tex.min_token_len = options_.min_token_len;
-    tex.max_tokens = options_.max_tokens_per_signature * 4;
     std::set<std::string> candidates;
     for (const std::string& tok : text::ExtractInvariantTokens(contents, tex)) {
       candidates.insert(tok);
@@ -54,20 +42,38 @@ match::BayesSignatureSet BayesSignatureGenerator::Generate(
         candidates.insert(tok);
       }
     }
+    for (const std::string& tok : candidates) {
+      normal_ids[c].push_back(normal_screen.Intern(tok));
+    }
+    cluster_candidates[c].assign(candidates.begin(), candidates.end());
+  }
+  normal_screen.Scan(normal_corpus);
+
+  std::vector<match::BayesSignature> signatures;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    if (clusters[c].size() < options_.min_cluster_size) continue;
+    const std::vector<std::string>& contents = cluster_contents[c];
+    const std::vector<std::string>& candidates = cluster_candidates[c];
+    CorpusScreen member_screen;
+    std::vector<uint32_t> member_ids;
+    for (const std::string& tok : candidates) {
+      member_ids.push_back(member_screen.Intern(tok));
+    }
+    member_screen.Scan(contents);
 
     // Weigh candidates by their leaking-vs-normal log-odds.
     match::BayesSignature sig;
     sig.id = "bsig-" + std::to_string(signatures.size());
-    sig.cluster_size = static_cast<uint32_t>(cluster.size());
+    sig.cluster_size = static_cast<uint32_t>(clusters[c].size());
     std::vector<match::WeightedToken> weighted;
-    for (const std::string& tok : candidates) {
-      double df_pos = DocumentFrequency(tok, contents);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      double df_pos = member_screen.Frequency(member_ids[i]);
       if (df_pos < options_.min_positive_df) continue;
-      double df_neg = DocumentFrequency(tok, normal_corpus);
+      double df_neg = normal_screen.Frequency(normal_ids[c][i]);
       double w = std::log((df_pos + options_.epsilon) /
                           (df_neg + options_.epsilon));
       if (w <= 0) continue;
-      weighted.push_back(match::WeightedToken{tok, w});
+      weighted.push_back(match::WeightedToken{candidates[i], w});
     }
     if (weighted.empty()) continue;
     // Keep the highest-weight tokens.

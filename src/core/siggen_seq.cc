@@ -2,22 +2,13 @@
 
 #include <algorithm>
 
+#include "core/corpus_screen.h"
 #include "net/host.h"
 #include "text/token_extract.h"
 
 namespace leakdet::core {
 
 namespace {
-
-double DocumentFrequency(const std::string& token,
-                         const std::vector<std::string>& corpus) {
-  if (corpus.empty()) return 0.0;
-  size_t hits = 0;
-  for (const std::string& doc : corpus) {
-    if (doc.find(token) != std::string::npos) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(corpus.size());
-}
 
 /// Index of the first token (in order) that cannot be matched greedily in
 /// `content`, or -1 when the whole sequence matches.
@@ -38,26 +29,36 @@ match::SubsequenceSignatureSet SubsequenceSignatureGenerator::Generate(
     const std::vector<HttpPacket>& packets,
     const std::vector<std::vector<int32_t>>& clusters,
     const std::vector<std::string>& normal_corpus) const {
-  std::vector<match::SubsequenceSignature> signatures;
-
-  for (const std::vector<int32_t>& cluster : clusters) {
-    if (cluster.size() < options_.min_cluster_size) continue;
-    std::vector<std::string> contents;
-    contents.reserve(cluster.size());
-    for (int32_t idx : cluster) {
+  // Invariant tokens of every eligible cluster, screened as in the
+  // conjunction generator: one vocabulary, one pass over the corpus.
+  CorpusScreen screen;
+  std::vector<std::vector<std::string>> cluster_contents(clusters.size());
+  std::vector<std::vector<uint32_t>> cluster_tokens(clusters.size());
+  text::TokenExtractOptions tex;
+  tex.min_token_len = options_.min_token_len;
+  tex.max_tokens = options_.max_tokens_per_signature * 4;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    if (clusters[c].size() < options_.min_cluster_size) continue;
+    std::vector<std::string>& contents = cluster_contents[c];
+    contents.reserve(clusters[c].size());
+    for (int32_t idx : clusters[c]) {
       contents.push_back(PacketContent(packets[static_cast<size_t>(idx)]));
     }
+    for (const std::string& tok : text::ExtractInvariantTokens(contents, tex)) {
+      cluster_tokens[c].push_back(screen.Intern(tok));
+    }
+  }
+  screen.Scan(normal_corpus);
 
-    // Invariant tokens, screened as in the conjunction generator.
-    text::TokenExtractOptions tex;
-    tex.min_token_len = options_.min_token_len;
-    tex.max_tokens = options_.max_tokens_per_signature * 4;
-    std::vector<std::string> raw = text::ExtractInvariantTokens(contents, tex);
+  std::vector<match::SubsequenceSignature> signatures;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    const std::vector<int32_t>& cluster = clusters[c];
+    if (cluster.size() < options_.min_cluster_size) continue;
+    const std::vector<std::string>& contents = cluster_contents[c];
     std::vector<std::string> tokens;
-    for (std::string& tok : raw) {
-      if (DocumentFrequency(tok, normal_corpus) <=
-          options_.max_token_normal_df) {
-        tokens.push_back(std::move(tok));
+    for (uint32_t tok : cluster_tokens[c]) {
+      if (screen.Frequency(tok) <= options_.max_token_normal_df) {
+        tokens.push_back(screen.token(tok));
       }
       if (tokens.size() >= options_.max_tokens_per_signature) break;
     }

@@ -120,18 +120,18 @@ std::vector<AhoCorasick::Match> AhoCorasick::FindAll(
 
 void AhoCorasick::MarkPresent(std::string_view text,
                               std::vector<bool>* seen) const {
-  int32_t state = 0;
-  for (char ch : text) {
-    state = Step(state, static_cast<uint8_t>(ch));
-    ForEachOutput(state, [seen](uint32_t id) { (*seen)[id] = true; });
-  }
+  Scan(text, 0, [seen](uint32_t id) { (*seen)[id] = true; });
 }
 
 bool AhoCorasick::AnyMatch(std::string_view text) const {
   int32_t state = 0;
+  return AnyMatch(text, &state);
+}
+
+bool AhoCorasick::AnyMatch(std::string_view text, int32_t* state) const {
   for (char ch : text) {
-    state = Step(state, static_cast<uint8_t>(ch));
-    if (HasOutput(state) || report_[static_cast<size_t>(state)] != -1) {
+    *state = Step(*state, static_cast<uint8_t>(ch));
+    if (HasOutput(*state) || report_[static_cast<size_t>(*state)] != -1) {
       return true;
     }
   }

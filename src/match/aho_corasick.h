@@ -38,8 +38,26 @@ class AhoCorasick {
   /// presence matters (conjunction evaluation).
   void MarkPresent(std::string_view text, std::vector<bool>* seen) const;
 
+  /// Scans `text` from `state` (0 begins a text), calling `fn(pattern)` for
+  /// every pattern occurrence, and returns the state after the last byte.
+  /// A text fed in pieces, each scanned from the state the previous piece
+  /// returned, reports exactly what one scan of the joined text does.
+  template <typename Fn>
+  int32_t Scan(std::string_view text, int32_t state, const Fn& fn) const {
+    for (char ch : text) {
+      state = Step(state, static_cast<uint8_t>(ch));
+      ForEachOutput(state, fn);
+    }
+    return state;
+  }
+
   /// True iff any pattern occurs in `text`.
   bool AnyMatch(std::string_view text) const;
+
+  /// True iff a pattern ends in `text` scanned from `*state`, stopping at
+  /// the first; `*state` is left at the last byte scanned, so a text can be
+  /// fed in pieces as with Scan.
+  bool AnyMatch(std::string_view text, int32_t* state) const;
 
   size_t num_patterns() const { return num_patterns_; }
   size_t num_nodes() const { return fail_.size(); }

@@ -6,6 +6,8 @@ namespace leakdet::text {
 
 SuffixAutomaton::SuffixAutomaton(std::string_view s) : source_(s) {
   states_.reserve(2 * s.size() + 2);
+  edges_.reserve(3 * s.size());
+  root_next_.fill(-1);
   states_.emplace_back();  // root
   last_ = 0;
   for (size_t i = 0; i < s.size(); ++i) {
@@ -21,29 +23,49 @@ SuffixAutomaton::SuffixAutomaton(std::string_view s) : source_(s) {
   }
 }
 
+void SuffixAutomaton::SetNext(int32_t state, uint8_t c, int32_t target) {
+  if (state == 0) {
+    root_next_[c] = target;
+    return;
+  }
+  if (const Edge* e = FindEdge(state, c)) {
+    edges_[static_cast<size_t>(e - edges_.data())].target = target;
+    return;
+  }
+  State& st = states_[static_cast<size_t>(state)];
+  edges_.push_back(Edge{target, st.edges, c});
+  st.edges = static_cast<int32_t>(edges_.size()) - 1;
+}
+
 void SuffixAutomaton::Extend(uint8_t c, int32_t pos) {
   int32_t cur = static_cast<int32_t>(states_.size());
   states_.emplace_back();
   states_[cur].len = states_[last_].len + 1;
   states_[cur].first_end = pos;
   int32_t p = last_;
-  while (p != -1 && !states_[p].next.count(c)) {
-    states_[p].next[c] = cur;
+  while (p != -1 && Next(p, c) == -1) {
+    SetNext(p, c, cur);
     p = states_[p].link;
   }
   if (p == -1) {
     states_[cur].link = 0;
   } else {
-    int32_t q = states_[p].next[c];
+    int32_t q = Next(p, c);
     if (states_[p].len + 1 == states_[q].len) {
       states_[cur].link = q;
     } else {
       int32_t clone = static_cast<int32_t>(states_.size());
-      states_.push_back(states_[q]);  // copies next, link, first_end
-      states_[clone].len = states_[p].len + 1;
-      while (p != -1 && states_[p].next.count(c) &&
-             states_[p].next[c] == q) {
-        states_[p].next[c] = clone;
+      State copy = states_[q];  // link, first_end; edges copied below
+      copy.len = states_[p].len + 1;
+      copy.edges = -1;
+      states_.push_back(copy);
+      for (int32_t e = states_[q].edges; e != -1; e = edges_[e].next) {
+        edges_.push_back(Edge{edges_[e].target, states_[clone].edges,
+                              edges_[e].label});
+        states_[clone].edges = static_cast<int32_t>(edges_.size()) - 1;
+      }
+      while (p != -1 && Next(p, c) == q) {
+        SetNext(p, c, clone);
         p = states_[p].link;
       }
       states_[q].link = clone;
@@ -56,9 +78,8 @@ void SuffixAutomaton::Extend(uint8_t c, int32_t pos) {
 bool SuffixAutomaton::ContainsSubstring(std::string_view t) const {
   int32_t cur = 0;
   for (char ch : t) {
-    auto it = states_[cur].next.find(static_cast<uint8_t>(ch));
-    if (it == states_[cur].next.end()) return false;
-    cur = it->second;
+    cur = Next(cur, static_cast<uint8_t>(ch));
+    if (cur == -1) return false;
   }
   return true;
 }
@@ -70,13 +91,14 @@ SuffixAutomaton::LcsResult SuffixAutomaton::LongestCommonSubstring(
   size_t l = 0;
   for (size_t i = 0; i < other.size(); ++i) {
     uint8_t c = static_cast<uint8_t>(other[i]);
-    while (cur != 0 && !states_[cur].next.count(c)) {
+    int32_t next = Next(cur, c);
+    while (cur != 0 && next == -1) {
       cur = states_[cur].link;
       l = static_cast<size_t>(states_[cur].len);
+      next = Next(cur, c);
     }
-    auto it = states_[cur].next.find(c);
-    if (it != states_[cur].next.end()) {
-      cur = it->second;
+    if (next != -1) {
+      cur = next;
       ++l;
     } else {
       cur = 0;

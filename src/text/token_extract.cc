@@ -13,27 +13,29 @@ namespace {
 /// Matching pass of the classic multi-string LCS algorithm: for every state
 /// of `sam`, the longest match ending in that state that also occurs in `t`.
 /// Results are propagated up the suffix-link tree so that every state's value
-/// is valid for its own (shorter) strings too.
-std::vector<int32_t> MatchLengths(const SuffixAutomaton& sam,
-                                  std::string_view t) {
-  std::vector<int32_t> ms(sam.num_states(), 0);
+/// is valid for its own (shorter) strings too. `ms` is overwritten, so one
+/// buffer serves every sample.
+void MatchLengths(const SuffixAutomaton& sam, std::string_view t,
+                  std::vector<int32_t>* ms) {
+  ms->assign(sam.num_states(), 0);
   int32_t cur = 0;
   int32_t l = 0;
   for (char ch : t) {
     uint8_t c = static_cast<uint8_t>(ch);
-    while (cur != 0 && !sam.state(cur).next.count(c)) {
+    int32_t next = sam.Next(cur, c);
+    while (cur != 0 && next == -1) {
       cur = sam.state(cur).link;
       l = sam.state(cur).len;
+      next = sam.Next(cur, c);
     }
-    auto it = sam.state(cur).next.find(c);
-    if (it != sam.state(cur).next.end()) {
-      cur = it->second;
+    if (next != -1) {
+      cur = next;
       ++l;
     } else {
       cur = 0;
       l = 0;
     }
-    ms[cur] = std::max(ms[cur], l);
+    (*ms)[cur] = std::max((*ms)[cur], l);
   }
   // Propagate to suffix-link ancestors, longest states first.
   const auto& order = sam.StatesByLen();
@@ -41,10 +43,9 @@ std::vector<int32_t> MatchLengths(const SuffixAutomaton& sam,
     int32_t v = order[i];
     int32_t p = sam.state(v).link;
     if (p >= 0) {
-      ms[p] = std::max(ms[p], std::min(ms[v], sam.state(p).len));
+      (*ms)[p] = std::max((*ms)[p], std::min((*ms)[v], sam.state(p).len));
     }
   }
-  return ms;
 }
 
 struct Candidate {
@@ -73,9 +74,10 @@ std::vector<std::string> ExtractInvariantTokens(
   for (size_t v = 0; v < sam.num_states(); ++v) {
     common[v] = sam.state(v).len;
   }
+  std::vector<int32_t> ms;
   for (size_t i = 0; i < samples.size(); ++i) {
     if (i == base_idx) continue;
-    std::vector<int32_t> ms = MatchLengths(sam, samples[i]);
+    MatchLengths(sam, samples[i], &ms);
     for (size_t v = 0; v < sam.num_states(); ++v) {
       common[v] = std::min(common[v], ms[v]);
     }

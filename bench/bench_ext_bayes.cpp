@@ -7,6 +7,7 @@
 
 #include "bench_util.h"
 #include "core/pipeline.h"
+#include "core/siggen_bayes.h"
 #include "core/siggen_seq.h"
 #include "eval/experiment.h"
 #include "eval/roc.h"

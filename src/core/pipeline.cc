@@ -90,21 +90,4 @@ StatusOr<PipelineResult> RunPipeline(const std::vector<HttpPacket>& suspicious,
   return result;
 }
 
-StatusOr<BayesPipelineResult> RunBayesPipeline(
-    const std::vector<HttpPacket>& suspicious,
-    const std::vector<HttpPacket>& normal,
-    const BayesPipelineOptions& options) {
-  LEAKDET_ASSIGN_OR_RETURN(ClusteringResult clustering,
-                           RunClustering(suspicious, normal, options.base));
-
-  BayesPipelineResult result;
-  result.sampled_indices = std::move(clustering.sampled_indices);
-  result.clusters = clustering.clusters;
-
-  BayesSignatureGenerator generator(options.siggen);
-  result.signatures = generator.Generate(
-      clustering.sample, clustering.clusters, clustering.normal_corpus);
-  return result;
-}
-
 }  // namespace leakdet::core

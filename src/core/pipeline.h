@@ -9,7 +9,6 @@
 #include "core/distance.h"
 #include "core/hcluster.h"
 #include "core/siggen.h"
-#include "core/siggen_bayes.h"
 #include "util/statusor.h"
 
 namespace leakdet::core {
@@ -61,7 +60,7 @@ struct PipelineOptions {
 
 /// The shared front half of the pipeline: the sampled packets, their
 /// clustering, and the screening corpus — inputs to either signature
-/// generator (conjunction or Bayes).
+/// generator (conjunction, subsequence or Bayes).
 struct ClusteringResult {
   /// Indices into the suspicious group of the N sampled packets (sorted).
   std::vector<size_t> sampled_indices;
@@ -107,27 +106,6 @@ struct PipelineResult {
 StatusOr<PipelineResult> RunPipeline(const std::vector<HttpPacket>& suspicious,
                                      const std::vector<HttpPacket>& normal,
                                      const PipelineOptions& options);
-
-/// Results of the probabilistic-signature variant (the paper's future-work
-/// direction; §VI refs [14], [30]).
-struct BayesPipelineResult {
-  match::BayesSignatureSet signatures;
-  std::vector<size_t> sampled_indices;
-  std::vector<std::vector<int32_t>> clusters;
-};
-
-/// Probabilistic-signature options rider on the shared pipeline knobs.
-struct BayesPipelineOptions {
-  PipelineOptions base;
-  BayesSiggenOptions siggen;
-};
-
-/// Runs the same sampling/clustering front end, then generates weighted
-/// Bayes signatures instead of conjunctions.
-StatusOr<BayesPipelineResult> RunBayesPipeline(
-    const std::vector<HttpPacket>& suspicious,
-    const std::vector<HttpPacket>& normal,
-    const BayesPipelineOptions& options);
 
 }  // namespace leakdet::core
 

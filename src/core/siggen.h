@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/corpus_screen.h"
 #include "core/hcluster.h"
 #include "core/packet.h"
 #include "match/signature.h"
@@ -53,6 +54,34 @@ struct SiggenClusterReport {
   bool emitted = false;
   std::string reject_reason;   ///< "" when emitted
 };
+
+/// The front half both token-list generators (conjunction and subsequence)
+/// share (§IV-E steps 2–3): every eligible cluster's invariant tokens,
+/// interned into one vocabulary and screened against the normal corpus in
+/// one pass.
+struct ScreenedClusters {
+  CorpusScreen screen;
+  /// Per cluster, its members' packet contents; empty for a cluster below
+  /// `min_cluster_size`.
+  std::vector<std::vector<std::string>> contents;
+  /// Per cluster, how many invariant tokens the extraction found.
+  std::vector<size_t> raw_tokens;
+  /// Per cluster, the screen ids of the tokens whose normal-corpus document
+  /// frequency is at most `max_token_normal_df`, in extraction order, at most
+  /// `max_tokens_per_signature` of them.
+  std::vector<std::vector<uint32_t>> kept;
+};
+
+ScreenedClusters ScreenClusterTokens(
+    const std::vector<HttpPacket>& packets,
+    const std::vector<std::vector<int32_t>>& clusters,
+    const std::vector<std::string>& normal_corpus,
+    const SiggenOptions& options);
+
+/// The registrable domain every member of `cluster` is sent to, or "" when
+/// the members disagree.
+std::string UnanimousDomain(const std::vector<HttpPacket>& packets,
+                            const std::vector<int32_t>& cluster);
 
 /// Generates one conjunction signature per cluster from the invariant tokens
 /// of the cluster's packet contents, screened against a sample of normal

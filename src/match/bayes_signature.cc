@@ -1,12 +1,29 @@
 #include "match/bayes_signature.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <unordered_map>
 
 #include "util/strutil.h"
 
 namespace leakdet::match {
+
+namespace {
+
+constexpr std::string_view kFeedHeader = "leakdet-bayes-signatures v1";
+
+/// A threshold or weight: the whole of `s` must be one finite number.
+StatusOr<double> ParseFiniteDouble(std::string_view s) {
+  double value = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size() ||
+      !std::isfinite(value)) {
+    return Status::Corruption("bad bayes number '" + std::string(s) + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 double BayesSignature::Score(std::string_view content) const {
   double score = 0;
@@ -18,54 +35,31 @@ double BayesSignature::Score(std::string_view content) const {
   return score;
 }
 
-bool BayesSignature::Matches(std::string_view content) const {
-  return Score(content) >= threshold;
-}
-
 BayesSignatureSet::BayesSignatureSet(std::vector<BayesSignature> signatures)
     : signatures_(std::move(signatures)) {
-  BuildIndex();
-}
-
-BayesSignatureSet::BayesSignatureSet(const BayesSignatureSet& other)
-    : signatures_(other.signatures_) {
-  BuildIndex();
-}
-
-BayesSignatureSet& BayesSignatureSet::operator=(
-    const BayesSignatureSet& other) {
-  if (this != &other) {
-    signatures_ = other.signatures_;
-    BuildIndex();
-  }
-  return *this;
-}
-
-void BayesSignatureSet::BuildIndex() {
-  vocab_.clear();
-  token_refs_.clear();
-  std::unordered_map<std::string, uint32_t> vocab_index;
+  std::vector<ConjunctionSignature> token_lists(signatures_.size());
   for (size_t s = 0; s < signatures_.size(); ++s) {
     for (const WeightedToken& wt : signatures_[s].tokens) {
-      auto [it, inserted] =
-          vocab_index.emplace(wt.token, static_cast<uint32_t>(vocab_.size()));
-      if (inserted) {
-        vocab_.push_back(wt.token);
-        token_refs_.emplace_back();
-      }
-      token_refs_[it->second].emplace_back(static_cast<uint32_t>(s),
-                                           wt.weight);
+      token_lists[s].tokens.push_back(wt.token);
     }
   }
-  automaton_ = std::make_unique<AhoCorasick>(vocab_);
+  index_ = SignatureSet(std::move(token_lists));
+  token_refs_.resize(index_.vocab().size());
+  for (size_t s = 0; s < signatures_.size(); ++s) {
+    const std::vector<uint32_t>& ids = index_.sig_token_ids()[s];
+    for (size_t t = 0; t < ids.size(); ++t) {
+      token_refs_[ids[t]].emplace_back(static_cast<uint32_t>(s),
+                                       signatures_[s].tokens[t].weight);
+    }
+  }
 }
 
 std::vector<double> BayesSignatureSet::Scores(std::string_view content) const {
   std::vector<double> scores(signatures_.size(), 0.0);
   if (signatures_.empty()) return scores;
-  std::vector<bool> seen(vocab_.size(), false);
-  automaton_->MarkPresent(content, &seen);
-  for (size_t v = 0; v < vocab_.size(); ++v) {
+  std::vector<bool> seen(token_refs_.size(), false);
+  index_.automaton()->MarkPresent(content, &seen);
+  for (size_t v = 0; v < token_refs_.size(); ++v) {
     if (!seen[v]) continue;
     for (auto [sig, weight] : token_refs_[v]) {
       scores[sig] += weight;
@@ -86,12 +80,8 @@ std::vector<size_t> BayesSignatureSet::Match(std::string_view content) const {
   return hits;
 }
 
-bool BayesSignatureSet::Matches(std::string_view content) const {
-  return !Match(content).empty();
-}
-
 std::string BayesSignatureSet::Serialize() const {
-  std::string out = "leakdet-bayes-signatures v1\n";
+  std::string out = std::string(kFeedHeader) + "\n";
   char buf[64];
   for (const BayesSignature& sig : signatures_) {
     out += "signature " + sig.id + "\n";
@@ -109,53 +99,35 @@ std::string BayesSignatureSet::Serialize() const {
 
 StatusOr<BayesSignatureSet> BayesSignatureSet::Deserialize(
     std::string_view text) {
-  std::vector<std::string_view> lines = Split(text, '\n');
-  if (lines.empty() ||
-      TrimWhitespace(lines[0]) != "leakdet-bayes-signatures v1") {
-    return Status::Corruption("bad bayes signature file header");
-  }
+  LEAKDET_ASSIGN_OR_RETURN(std::vector<FeedBlock> blocks,
+                           ReadFeedBlocks(text, kFeedHeader));
   std::vector<BayesSignature> sigs;
-  size_t i = 1;
-  while (i < lines.size()) {
-    std::string_view line = TrimWhitespace(lines[i]);
-    if (line.empty()) {
-      ++i;
-      continue;
-    }
-    if (!line.starts_with("signature ")) {
-      return Status::Corruption("expected 'signature <id>' line");
-    }
+  sigs.reserve(blocks.size());
+  for (const FeedBlock& block : blocks) {
     BayesSignature sig;
-    sig.id = std::string(line.substr(10));
-    ++i;
-    bool closed = false;
-    while (i < lines.size()) {
-      std::string_view body = TrimWhitespace(lines[i]);
-      ++i;
-      if (body == "end") {
-        closed = true;
-        break;
-      }
-      if (body.starts_with("threshold ")) {
-        sig.threshold = std::atof(std::string(body.substr(10)).c_str());
-      } else if (body.starts_with("cluster_size ")) {
-        LEAKDET_ASSIGN_OR_RETURN(uint64_t n, ParseUint64(body.substr(13)));
-        sig.cluster_size = static_cast<uint32_t>(n);
-      } else if (body.starts_with("token ")) {
-        std::string_view rest = body.substr(6);
+    sig.id = std::string(block.id);
+    for (std::string_view line : block.lines) {
+      if (line.starts_with("threshold ")) {
+        LEAKDET_ASSIGN_OR_RETURN(sig.threshold,
+                                 ParseFiniteDouble(line.substr(10)));
+      } else if (line.starts_with("cluster_size ")) {
+        LEAKDET_ASSIGN_OR_RETURN(sig.cluster_size,
+                                 ParseClusterSize(line.substr(13)));
+      } else if (line.starts_with("token ")) {
+        std::string_view rest = line.substr(6);
         size_t sp = rest.find(' ');
         if (sp == std::string_view::npos) {
           return Status::Corruption("bayes token needs weight and hex");
         }
         WeightedToken wt;
-        wt.weight = std::atof(std::string(rest.substr(0, sp)).c_str());
+        LEAKDET_ASSIGN_OR_RETURN(wt.weight,
+                                 ParseFiniteDouble(rest.substr(0, sp)));
         LEAKDET_ASSIGN_OR_RETURN(wt.token, HexDecode(rest.substr(sp + 1)));
         sig.tokens.push_back(std::move(wt));
-      } else if (!body.empty()) {
+      } else {
         return Status::Corruption("unknown bayes signature attribute");
       }
     }
-    if (!closed) return Status::Corruption("unterminated signature block");
     sigs.push_back(std::move(sig));
   }
   return BayesSignatureSet(std::move(sigs));

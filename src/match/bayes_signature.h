@@ -1,12 +1,13 @@
 #ifndef LEAKDET_MATCH_BAYES_SIGNATURE_H_
 #define LEAKDET_MATCH_BAYES_SIGNATURE_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "match/aho_corasick.h"
+#include "match/signature.h"
 #include "util/statusor.h"
 
 namespace leakdet::match {
@@ -34,26 +35,26 @@ struct BayesSignature {
   double Score(std::string_view content) const;
 
   /// True iff Score(content) >= threshold.
-  bool Matches(std::string_view content) const;
+  bool Matches(std::string_view content) const {
+    return Score(content) >= threshold;
+  }
 };
 
-/// A deployed set of Bayes signatures sharing one Aho–Corasick automaton
-/// over the token vocabulary: scoring every signature is one scan.
+/// A deployed set of Bayes signatures. Their token lists are indexed by a
+/// SignatureSet (one vocabulary, one Aho–Corasick automaton), so scoring
+/// every signature is one scan.
 class BayesSignatureSet {
  public:
   BayesSignatureSet() = default;
   explicit BayesSignatureSet(std::vector<BayesSignature> signatures);
 
-  BayesSignatureSet(const BayesSignatureSet& other);
-  BayesSignatureSet& operator=(const BayesSignatureSet& other);
-  BayesSignatureSet(BayesSignatureSet&&) = default;
-  BayesSignatureSet& operator=(BayesSignatureSet&&) = default;
-
   /// Indices of signatures whose score reaches their threshold on `content`.
   std::vector<size_t> Match(std::string_view content) const;
 
   /// True iff any signature matches.
-  bool Matches(std::string_view content) const;
+  bool Matches(std::string_view content) const {
+    return !Match(content).empty();
+  }
 
   /// Per-signature scores (diagnostics / ROC sweeps).
   std::vector<double> Scores(std::string_view content) const;
@@ -67,13 +68,10 @@ class BayesSignatureSet {
   static StatusOr<BayesSignatureSet> Deserialize(std::string_view text);
 
  private:
-  void BuildIndex();
-
   std::vector<BayesSignature> signatures_;
-  std::vector<std::string> vocab_;
+  SignatureSet index_;  // the token lists, without weights
   // For vocab token v: list of (signature index, weight).
   std::vector<std::vector<std::pair<uint32_t, double>>> token_refs_;
-  std::unique_ptr<AhoCorasick> automaton_;
 };
 
 }  // namespace leakdet::match

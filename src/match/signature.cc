@@ -6,6 +6,10 @@
 
 namespace leakdet::match {
 
+namespace {
+constexpr std::string_view kFeedHeader = "leakdet-signatures v1";
+}  // namespace
+
 SignatureSet::SignatureSet(std::vector<ConjunctionSignature> signatures)
     : signatures_(std::move(signatures)) {
   BuildIndex();
@@ -67,15 +71,55 @@ std::vector<size_t> SignatureSet::Match(std::string_view content,
   return hits;
 }
 
-bool SignatureSet::Matches(std::string_view content,
-                           std::string_view host_domain) const {
-  return !Match(content, host_domain).empty();
+std::string SignatureSet::Serialize() const {
+  return SerializeConjunctions(kFeedHeader, signatures_);
 }
 
-std::string SignatureSet::Serialize() const {
-  std::string out;
-  out += "leakdet-signatures v1\n";
-  for (const ConjunctionSignature& sig : signatures_) {
+StatusOr<SignatureSet> SignatureSet::Deserialize(std::string_view text) {
+  LEAKDET_ASSIGN_OR_RETURN(std::vector<ConjunctionSignature> sigs,
+                           ParseConjunctions(kFeedHeader, text));
+  return SignatureSet(std::move(sigs));
+}
+
+StatusOr<std::vector<FeedBlock>> ReadFeedBlocks(std::string_view text,
+                                                std::string_view header) {
+  std::vector<std::string_view> lines = Split(text, '\n');
+  if (lines.empty() || TrimWhitespace(lines[0]) != header) {
+    return Status::Corruption("bad signature file header, want '" +
+                              std::string(header) + "'");
+  }
+  std::vector<FeedBlock> blocks;
+  bool open = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::string_view line = TrimWhitespace(lines[i]);
+    if (line.empty()) continue;
+    if (!open) {
+      if (!line.starts_with("signature ")) {
+        return Status::Corruption("expected 'signature <id>' line");
+      }
+      blocks.push_back(FeedBlock{line.substr(10), {}});
+      open = true;
+    } else if (line == "end") {
+      open = false;
+    } else {
+      blocks.back().lines.push_back(line);
+    }
+  }
+  if (open) return Status::Corruption("unterminated signature block");
+  return blocks;
+}
+
+StatusOr<uint32_t> ParseClusterSize(std::string_view value) {
+  LEAKDET_ASSIGN_OR_RETURN(uint64_t n, ParseUint64(value));
+  if (n > UINT32_MAX) return Status::Corruption("cluster_size above 2^32-1");
+  return static_cast<uint32_t>(n);
+}
+
+std::string SerializeConjunctions(
+    std::string_view header,
+    const std::vector<ConjunctionSignature>& signatures) {
+  std::string out = std::string(header) + "\n";
+  for (const ConjunctionSignature& sig : signatures) {
     out += "signature " + sig.id + "\n";
     out += "host " + (sig.host_scope.empty() ? "-" : sig.host_scope) + "\n";
     out += "cluster_size " + std::to_string(sig.cluster_size) + "\n";
@@ -87,51 +131,32 @@ std::string SignatureSet::Serialize() const {
   return out;
 }
 
-StatusOr<SignatureSet> SignatureSet::Deserialize(std::string_view text) {
-  std::vector<std::string_view> lines = Split(text, '\n');
-  size_t i = 0;
-  if (lines.empty() || TrimWhitespace(lines[0]) != "leakdet-signatures v1") {
-    return Status::Corruption("bad signature file header");
-  }
-  ++i;
+StatusOr<std::vector<ConjunctionSignature>> ParseConjunctions(
+    std::string_view header, std::string_view text) {
+  LEAKDET_ASSIGN_OR_RETURN(std::vector<FeedBlock> blocks,
+                           ReadFeedBlocks(text, header));
   std::vector<ConjunctionSignature> sigs;
-  while (i < lines.size()) {
-    std::string_view line = TrimWhitespace(lines[i]);
-    if (line.empty()) {
-      ++i;
-      continue;
-    }
-    if (!line.starts_with("signature ")) {
-      return Status::Corruption("expected 'signature <id>' line");
-    }
+  sigs.reserve(blocks.size());
+  for (const FeedBlock& block : blocks) {
     ConjunctionSignature sig;
-    sig.id = std::string(line.substr(10));
-    ++i;
-    bool closed = false;
-    while (i < lines.size()) {
-      std::string_view body = TrimWhitespace(lines[i]);
-      ++i;
-      if (body == "end") {
-        closed = true;
-        break;
-      }
-      if (body.starts_with("host ")) {
-        std::string_view h = body.substr(5);
+    sig.id = std::string(block.id);
+    for (std::string_view line : block.lines) {
+      if (line.starts_with("host ")) {
+        std::string_view h = line.substr(5);
         sig.host_scope = (h == "-") ? "" : std::string(h);
-      } else if (body.starts_with("cluster_size ")) {
-        LEAKDET_ASSIGN_OR_RETURN(uint64_t n, ParseUint64(body.substr(13)));
-        sig.cluster_size = static_cast<uint32_t>(n);
-      } else if (body.starts_with("token ")) {
-        LEAKDET_ASSIGN_OR_RETURN(std::string tok, HexDecode(body.substr(6)));
+      } else if (line.starts_with("cluster_size ")) {
+        LEAKDET_ASSIGN_OR_RETURN(sig.cluster_size,
+                                 ParseClusterSize(line.substr(13)));
+      } else if (line.starts_with("token ")) {
+        LEAKDET_ASSIGN_OR_RETURN(std::string tok, HexDecode(line.substr(6)));
         sig.tokens.push_back(std::move(tok));
-      } else if (!body.empty()) {
+      } else {
         return Status::Corruption("unknown signature attribute line");
       }
     }
-    if (!closed) return Status::Corruption("unterminated signature block");
     sigs.push_back(std::move(sig));
   }
-  return SignatureSet(std::move(sigs));
+  return sigs;
 }
 
 }  // namespace leakdet::match

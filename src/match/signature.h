@@ -50,9 +50,11 @@ class SignatureSet {
   std::vector<size_t> Match(std::string_view content,
                             std::string_view host_domain = {}) const;
 
-  /// True iff Match(...) would be non-empty (early-outs).
+  /// True iff Match(...) would be non-empty.
   bool Matches(std::string_view content,
-               std::string_view host_domain = {}) const;
+               std::string_view host_domain = {}) const {
+    return !Match(content, host_domain).empty();
+  }
 
   const std::vector<ConjunctionSignature>& signatures() const {
     return signatures_;
@@ -86,6 +88,32 @@ class SignatureSet {
   std::vector<std::vector<uint32_t>> sig_tokens_;  // per-sig vocab ids
   std::unique_ptr<AhoCorasick> automaton_;
 };
+
+/// The envelope every signature feed shares: a header line naming the
+/// family, then blocks of `signature <id>`, attribute lines, and `end`.
+/// Blank lines are ignored everywhere after the header.
+struct FeedBlock {
+  std::string_view id;
+  std::vector<std::string_view> lines;  ///< trimmed, non-blank, before `end`
+};
+
+/// Splits `text` into its blocks (views into `text`); Corruption on a wrong
+/// header, a line outside a block that is not `signature <id>`, or a block
+/// without `end`.
+StatusOr<std::vector<FeedBlock>> ReadFeedBlocks(std::string_view text,
+                                                std::string_view header);
+
+/// Parses a `cluster_size` value; Corruption above UINT32_MAX.
+StatusOr<uint32_t> ParseClusterSize(std::string_view value);
+
+/// The block codec of the two token-list families (conjunction and
+/// subsequence): `signature <id>`, `host <domain|->`, `cluster_size <n>`,
+/// one `token <hex>` per token (hex so arbitrary bytes survive), `end`.
+std::string SerializeConjunctions(
+    std::string_view header,
+    const std::vector<ConjunctionSignature>& signatures);
+StatusOr<std::vector<ConjunctionSignature>> ParseConjunctions(
+    std::string_view header, std::string_view text);
 
 }  // namespace leakdet::match
 

@@ -1,150 +1,39 @@
 #include "match/subsequence_signature.h"
 
-#include <unordered_map>
-
-#include "util/strutil.h"
-
 namespace leakdet::match {
 
-bool SubsequenceSignature::Matches(std::string_view content) const {
-  if (tokens.empty()) return false;
+namespace {
+constexpr std::string_view kFeedHeader = "leakdet-subseq-signatures v1";
+}  // namespace
+
+int FirstOrderViolation(const std::vector<std::string>& tokens,
+                        std::string_view content) {
   size_t offset = 0;
-  for (const std::string& tok : tokens) {
-    size_t pos = content.find(tok, offset);
-    if (pos == std::string_view::npos) return false;
-    offset = pos + tok.size();
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    size_t pos = content.find(tokens[i], offset);
+    if (pos == std::string_view::npos) return static_cast<int>(i);
+    offset = pos + tokens[i].size();
   }
-  return true;
-}
-
-SubsequenceSignatureSet::SubsequenceSignatureSet(
-    std::vector<SubsequenceSignature> sigs)
-    : signatures_(std::move(sigs)) {
-  BuildIndex();
-}
-
-SubsequenceSignatureSet::SubsequenceSignatureSet(
-    const SubsequenceSignatureSet& other)
-    : signatures_(other.signatures_) {
-  BuildIndex();
-}
-
-SubsequenceSignatureSet& SubsequenceSignatureSet::operator=(
-    const SubsequenceSignatureSet& other) {
-  if (this != &other) {
-    signatures_ = other.signatures_;
-    BuildIndex();
-  }
-  return *this;
-}
-
-void SubsequenceSignatureSet::BuildIndex() {
-  vocab_.clear();
-  sig_tokens_.clear();
-  std::unordered_map<std::string, uint32_t> vocab_index;
-  for (const SubsequenceSignature& sig : signatures_) {
-    std::vector<uint32_t> ids;
-    for (const std::string& tok : sig.tokens) {
-      auto [it, inserted] =
-          vocab_index.emplace(tok, static_cast<uint32_t>(vocab_.size()));
-      if (inserted) vocab_.push_back(tok);
-      ids.push_back(it->second);
-    }
-    sig_tokens_.push_back(std::move(ids));
-  }
-  automaton_ = std::make_unique<AhoCorasick>(vocab_);
+  return -1;
 }
 
 std::vector<size_t> SubsequenceSignatureSet::Match(
     std::string_view content, std::string_view host_domain) const {
-  std::vector<size_t> hits;
-  if (signatures_.empty()) return hits;
-  // Presence pre-filter: ordered verification only for signatures whose
-  // tokens all occur somewhere.
-  std::vector<bool> seen(vocab_.size(), false);
-  automaton_->MarkPresent(content, &seen);
-  for (size_t s = 0; s < signatures_.size(); ++s) {
-    const SubsequenceSignature& sig = signatures_[s];
-    if (!sig.host_scope.empty() && !host_domain.empty() &&
-        sig.host_scope != host_domain) {
-      continue;
-    }
-    bool all_present = !sig_tokens_[s].empty();
-    for (uint32_t t : sig_tokens_[s]) {
-      if (!seen[t]) {
-        all_present = false;
-        break;
-      }
-    }
-    if (all_present && sig.Matches(content)) hits.push_back(s);
-  }
+  std::vector<size_t> hits = conjunctions_.Match(content, host_domain);
+  std::erase_if(hits, [&](size_t s) {
+    return FirstOrderViolation(signatures()[s].tokens, content) >= 0;
+  });
   return hits;
 }
 
-bool SubsequenceSignatureSet::Matches(std::string_view content,
-                                      std::string_view host_domain) const {
-  return !Match(content, host_domain).empty();
-}
-
 std::string SubsequenceSignatureSet::Serialize() const {
-  std::string out = "leakdet-subseq-signatures v1\n";
-  for (const SubsequenceSignature& sig : signatures_) {
-    out += "signature " + sig.id + "\n";
-    out += "host " + (sig.host_scope.empty() ? "-" : sig.host_scope) + "\n";
-    out += "cluster_size " + std::to_string(sig.cluster_size) + "\n";
-    for (const std::string& tok : sig.tokens) {
-      out += "token " + HexEncode(tok) + "\n";
-    }
-    out += "end\n";
-  }
-  return out;
+  return SerializeConjunctions(kFeedHeader, signatures());
 }
 
 StatusOr<SubsequenceSignatureSet> SubsequenceSignatureSet::Deserialize(
     std::string_view text) {
-  std::vector<std::string_view> lines = Split(text, '\n');
-  if (lines.empty() ||
-      TrimWhitespace(lines[0]) != "leakdet-subseq-signatures v1") {
-    return Status::Corruption("bad subsequence signature file header");
-  }
-  std::vector<SubsequenceSignature> sigs;
-  size_t i = 1;
-  while (i < lines.size()) {
-    std::string_view line = TrimWhitespace(lines[i]);
-    if (line.empty()) {
-      ++i;
-      continue;
-    }
-    if (!line.starts_with("signature ")) {
-      return Status::Corruption("expected 'signature <id>' line");
-    }
-    SubsequenceSignature sig;
-    sig.id = std::string(line.substr(10));
-    ++i;
-    bool closed = false;
-    while (i < lines.size()) {
-      std::string_view body = TrimWhitespace(lines[i]);
-      ++i;
-      if (body == "end") {
-        closed = true;
-        break;
-      }
-      if (body.starts_with("host ")) {
-        std::string_view h = body.substr(5);
-        sig.host_scope = (h == "-") ? "" : std::string(h);
-      } else if (body.starts_with("cluster_size ")) {
-        LEAKDET_ASSIGN_OR_RETURN(uint64_t n, ParseUint64(body.substr(13)));
-        sig.cluster_size = static_cast<uint32_t>(n);
-      } else if (body.starts_with("token ")) {
-        LEAKDET_ASSIGN_OR_RETURN(std::string tok, HexDecode(body.substr(6)));
-        sig.tokens.push_back(std::move(tok));
-      } else if (!body.empty()) {
-        return Status::Corruption("unknown signature attribute line");
-      }
-    }
-    if (!closed) return Status::Corruption("unterminated signature block");
-    sigs.push_back(std::move(sig));
-  }
+  LEAKDET_ASSIGN_OR_RETURN(std::vector<SubsequenceSignature> sigs,
+                           ParseConjunctions(kFeedHeader, text));
   return SubsequenceSignatureSet(std::move(sigs));
 }
 

@@ -1,76 +1,60 @@
 #ifndef LEAKDET_MATCH_SUBSEQUENCE_SIGNATURE_H_
 #define LEAKDET_MATCH_SUBSEQUENCE_SIGNATURE_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "match/aho_corasick.h"
+#include "match/signature.h"
 #include "util/statusor.h"
 
 namespace leakdet::match {
 
 /// A token-subsequence signature (the middle member of the Polygraph family
-/// between conjunction and Bayes): the tokens must appear *in order*, each
-/// occurrence starting at or after the end of the previous one. Stricter
-/// than a conjunction — field order is part of the match — which buys
-/// precision against benign packets that happen to contain all tokens in a
-/// different arrangement.
-struct SubsequenceSignature {
-  std::string id;
-  std::vector<std::string> tokens;  ///< required order of appearance
-  std::string host_scope;           ///< "" = every destination
-  uint32_t cluster_size = 0;
+/// between conjunction and Bayes): a conjunction whose tokens must also
+/// appear *in order*, each occurrence starting at or after the end of the
+/// previous one. Stricter than a conjunction — field order is part of the
+/// match — which buys precision against benign packets that happen to
+/// contain all tokens in a different arrangement.
+using SubsequenceSignature = ConjunctionSignature;
 
-  /// True iff the tokens occur in order, non-overlapping, in `content`.
-  bool Matches(std::string_view content) const;
+/// Greedy in-order check: the index of the first of `tokens` that does not
+/// occur in `content` at or after the end of the previous token's earliest
+/// occurrence, or -1 when every token does.
+int FirstOrderViolation(const std::vector<std::string>& tokens,
+                        std::string_view content);
 
-  friend bool operator==(const SubsequenceSignature& a,
-                         const SubsequenceSignature& b) {
-    return a.id == b.id && a.tokens == b.tokens &&
-           a.host_scope == b.host_scope && a.cluster_size == b.cluster_size;
-  }
-};
-
-/// A deployed set of subsequence signatures. A shared Aho–Corasick automaton
-/// pre-filters (a signature can only match when every token is present
-/// somewhere); ordered verification then runs per surviving signature.
+/// A deployed set of subsequence signatures: a SignatureSet (one automaton
+/// scan, host scope, empty token lists never match) whose hits must also
+/// pass the in-order check.
 class SubsequenceSignatureSet {
  public:
   SubsequenceSignatureSet() = default;
-  explicit SubsequenceSignatureSet(std::vector<SubsequenceSignature> sigs);
+  explicit SubsequenceSignatureSet(std::vector<SubsequenceSignature> sigs)
+      : conjunctions_(std::move(sigs)) {}
 
-  SubsequenceSignatureSet(const SubsequenceSignatureSet& other);
-  SubsequenceSignatureSet& operator=(const SubsequenceSignatureSet& other);
-  SubsequenceSignatureSet(SubsequenceSignatureSet&&) = default;
-  SubsequenceSignatureSet& operator=(SubsequenceSignatureSet&&) = default;
-
-  /// Indices of matching signatures (host scope enforced when
+  /// Indices of matching signatures, ascending (host scope enforced when
   /// `host_domain` is non-empty).
   std::vector<size_t> Match(std::string_view content,
                             std::string_view host_domain = {}) const;
 
   bool Matches(std::string_view content,
-               std::string_view host_domain = {}) const;
+               std::string_view host_domain = {}) const {
+    return !Match(content, host_domain).empty();
+  }
 
   const std::vector<SubsequenceSignature>& signatures() const {
-    return signatures_;
+    return conjunctions_.signatures();
   }
-  size_t size() const { return signatures_.size(); }
-  bool empty() const { return signatures_.empty(); }
+  size_t size() const { return conjunctions_.size(); }
+  bool empty() const { return conjunctions_.empty(); }
 
-  /// Line-oriented serialization (same envelope as the other families).
+  /// The conjunction feed format under its own header.
   std::string Serialize() const;
   static StatusOr<SubsequenceSignatureSet> Deserialize(std::string_view text);
 
  private:
-  void BuildIndex();
-
-  std::vector<SubsequenceSignature> signatures_;
-  std::vector<std::string> vocab_;
-  std::vector<std::vector<uint32_t>> sig_tokens_;  // vocab ids per signature
-  std::unique_ptr<AhoCorasick> automaton_;
+  SignatureSet conjunctions_;
 };
 
 }  // namespace leakdet::match

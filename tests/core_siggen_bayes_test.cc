@@ -131,12 +131,14 @@ TEST(RunBayesPipelineTest, EndToEnd) {
     normal.push_back(AdPacket("GET /other/page?q=" + rng.RandomHex(8) +
                               " HTTP/1.1"));
   }
-  BayesPipelineOptions options;
-  options.base.sample_size = 15;
-  auto result = RunBayesPipeline(suspicious, normal, options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->signatures.size(), 1u);
-  BayesDetector detector(std::move(result->signatures));
+  PipelineOptions options;
+  options.sample_size = 15;
+  auto clustering = RunClustering(suspicious, normal, options);
+  ASSERT_TRUE(clustering.ok());
+  match::BayesSignatureSet signatures = BayesSignatureGenerator().Generate(
+      clustering->sample, clustering->clusters, clustering->normal_corpus);
+  ASSERT_GE(signatures.size(), 1u);
+  BayesDetector detector(std::move(signatures));
   size_t detected = 0;
   for (const HttpPacket& p : suspicious) {
     if (detector.IsSensitive(p)) ++detected;

@@ -115,5 +115,36 @@ TEST(BayesSignatureSetTest, DeserializeRejectsGarbage) {
                    .ok());  // unterminated
 }
 
+TEST(BayesSignatureSetTest, DeserializeRejectsMalformedNumbers) {
+  // A threshold that loaded as 0 would match every packet; NaN none.
+  const std::string head = "leakdet-bayes-signatures v1\nsignature b0\n";
+  auto ok = BayesSignatureSet::Deserialize(
+      head + "threshold -1.5e-3\ntoken 2 616263\nend\n");
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->signatures()[0].threshold, -1.5e-3);
+  EXPECT_EQ(ok->signatures()[0].tokens[0].weight, 2.0);
+  for (const char* bad : {"junk", "nan", "inf", "-inf", "1e999", "1.5x", ""}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(BayesSignatureSet::Deserialize(
+                     head + "threshold " + bad + "\ntoken 2 616263\nend\n")
+                     .ok());
+    EXPECT_FALSE(BayesSignatureSet::Deserialize(
+                     head + "threshold 1\ntoken " + bad + " 616263\nend\n")
+                     .ok());
+  }
+}
+
+TEST(BayesSignatureSetTest, DeserializeRejectsClusterSizeAbove32Bits) {
+  const std::string head =
+      "leakdet-bayes-signatures v1\nsignature b0\nthreshold 1\n";
+  auto max = BayesSignatureSet::Deserialize(
+      head + "cluster_size 4294967295\nend\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->signatures()[0].cluster_size, 4294967295u);
+  EXPECT_FALSE(BayesSignatureSet::Deserialize(
+                   head + "cluster_size 4294967297\nend\n")
+                   .ok());
+}
+
 }  // namespace
 }  // namespace leakdet::match

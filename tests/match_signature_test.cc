@@ -117,6 +117,33 @@ TEST(SignatureSetTest, DeserializeEmptySetOk) {
   EXPECT_TRUE(set->empty());
 }
 
+TEST(SignatureSetTest, DeserializeRejectsClusterSizeAbove32Bits) {
+  const std::string head =
+      "leakdet-signatures v1\nsignature s0\ntoken 616263\n";
+  auto max =
+      SignatureSet::Deserialize(head + "cluster_size 4294967295\nend\n");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ(max->signatures()[0].cluster_size, 4294967295u);
+  EXPECT_FALSE(
+      SignatureSet::Deserialize(head + "cluster_size 4294967297\nend\n").ok());
+}
+
+TEST(SignatureSetTest, FeedBlocksSkipBlankLinesAndRejectStrayLines) {
+  auto blocks = ReadFeedBlocks(
+      "hdr v1\n\nsignature a\n  x 1  \n\ny 2\nend\n\nsignature b\nend\n",
+      "hdr v1");
+  ASSERT_TRUE(blocks.ok());
+  ASSERT_EQ(blocks->size(), 2u);
+  EXPECT_EQ((*blocks)[0].id, "a");
+  EXPECT_EQ((*blocks)[0].lines,
+            (std::vector<std::string_view>{"x 1", "y 2"}));
+  EXPECT_EQ((*blocks)[1].id, "b");
+  EXPECT_TRUE((*blocks)[1].lines.empty());
+  EXPECT_FALSE(ReadFeedBlocks("other v1\n", "hdr v1").ok());
+  EXPECT_FALSE(ReadFeedBlocks("hdr v1\nend\n", "hdr v1").ok());
+  EXPECT_FALSE(ReadFeedBlocks("hdr v1\nsignature a\nx 1\n", "hdr v1").ok());
+}
+
 TEST(SignatureSetTest, MatchIsOneScanRegardlessOfSignatureCount) {
   // Smoke-check the shared-automaton path with many signatures.
   std::vector<ConjunctionSignature> sigs;

@@ -11,7 +11,7 @@
 //                     [--xor-key KEY]
 //   leakdet sign      --suspicious sus.jsonl --normal normal.jsonl
 //                     --out feed.sigs [--n 500] [--cut 2.0] [--seed 1]
-//                     [--compressor lzw] [--family conj|bayes] [--bayes]
+//                     [--compressor lzw] [--family conj|seq|bayes]
 //                     [--scope-by-host]
 //   leakdet detect    --signatures feed.sigs --trace trace.jsonl
 //                     [--max-print 10] [--explain]
@@ -79,6 +79,7 @@
 #include "core/detector.h"
 #include "core/payload_check.h"
 #include "core/pipeline.h"
+#include "core/siggen_bayes.h"
 #include "core/siggen_seq.h"
 #include "core/signature_server.h"
 #include "eval/metrics.h"
@@ -259,32 +260,26 @@ int CmdSign(const Args& args) {
   options.seed = static_cast<uint64_t>(args.GetLong("seed", 1));
   options.siggen.scope_by_host = args.Has("scope-by-host");
 
-  std::string family = args.Get("family", args.Has("bayes") ? "bayes" : "conj");
+  std::string family = args.Get("family", "conj");
+  if (family != "conj" && family != "seq" && family != "bayes") {
+    return Fail("--family must be conj, seq, or bayes");
+  }
+  auto clustering = core::RunClustering(suspicious, normal, options);
+  if (!clustering.ok()) return Fail(clustering.status());
   std::string feed;
   size_t count = 0;
-  if (family == "bayes") {
-    core::BayesPipelineOptions bayes_options;
-    bayes_options.base = options;
-    auto result = core::RunBayesPipeline(suspicious, normal, bayes_options);
-    if (!result.ok()) return Fail(result.status());
-    count = result->signatures.size();
-    feed = result->signatures.Serialize();
-  } else if (family == "seq") {
-    auto clustering = core::RunClustering(suspicious, normal, options);
-    if (!clustering.ok()) return Fail(clustering.status());
-    core::SubsequenceSignatureGenerator gen(options.siggen);
-    match::SubsequenceSignatureSet set =
-        gen.Generate(clustering->sample, clustering->clusters,
-                     clustering->normal_corpus);
+  auto generate = [&](const auto& generator) {
+    auto set = generator.Generate(clustering->sample, clustering->clusters,
+                                  clustering->normal_corpus);
     count = set.size();
     feed = set.Serialize();
-  } else if (family == "conj") {
-    auto result = core::RunPipeline(suspicious, normal, options);
-    if (!result.ok()) return Fail(result.status());
-    count = result->signatures.size();
-    feed = result->signatures.Serialize();
+  };
+  if (family == "conj") {
+    generate(core::SignatureGenerator(options.siggen));
+  } else if (family == "seq") {
+    generate(core::SubsequenceSignatureGenerator(options.siggen));
   } else {
-    return Fail("--family must be conj, seq, or bayes");
+    generate(core::BayesSignatureGenerator());
   }
   if (Status s = io::WriteFile(out, feed); !s.ok()) return Fail(s);
   std::printf("wrote %zu %s signatures to %s\n", count, family.c_str(),
@@ -975,7 +970,7 @@ const std::vector<Command>& Commands() {
        {"trace", "device", "suspicious", "normal", "xor-key"}},
       {"sign", CmdSign,
        {"suspicious", "normal", "out", "n", "cut", "compressor", "seed",
-        "scope-by-host", "family", "bayes"}},
+        "scope-by-host", "family"}},
       {"detect", CmdDetect, {"signatures", "trace", "max-print", "explain"}},
       {"eval", CmdEval, {"signatures", "trace", "n"}},
       {"pcap-export", CmdPcapExport, {"trace", "out"}},
